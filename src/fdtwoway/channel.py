@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import sample_complex_gaussian
+from .linalg import sample_complex_gaussian, water_fill
 
 PSD_TOL = 1e-8
 TRACE_TOL = 1e-8
@@ -93,6 +93,15 @@ def check_profile(ch, profile):
     return np.asarray(Q1, dtype=complex), np.asarray(Q2, dtype=complex)
 
 
+def _noise_covariance(c, H, H_h, d):
+    """Sigma = I + c (H * d) @ H^H for transmit powers d = diag(Q) and
+    H_h = H^H, over any leading batch axes of the arguments."""
+    S = c * ((H * d[..., None, :]) @ H_h)
+    n = S.shape[-1]
+    S.reshape(-1, n * n)[:, ::n + 1] += 1.0
+    return S
+
+
 def interference_covariance(ch, i, Q_i):
     """Covariance Sigma_i = I + beta eta_ii H_ii diag(Q_i) H_ii^H of the
     noise-plus-residual-self-interference seen at receiver i."""
@@ -100,8 +109,8 @@ def interference_covariance(ch, i, Q_i):
     if Q_i.shape != (ch.M, ch.M):
         raise ValueError(f"Q has shape {Q_i.shape}, expected ({ch.M},{ch.M})")
     Hii = ch.H[(i, i)]
-    D = np.diag(np.diag(Q_i).real)
-    return np.eye(ch.N) + ch.beta * ch.eta[(i, i)] * (Hii @ D @ Hii.conj().T)
+    return _noise_covariance(ch.beta * ch.eta[(i, i)], Hii, Hii.conj().T,
+                             np.diagonal(Q_i).real)
 
 
 def achievable_rate(ch, i, profile):
@@ -146,34 +155,6 @@ def sample_channel(M, N, eta, beta, P, rng, symmetric=False):
     return FdChannelModel(H=H, eta=dict(eta), beta=float(beta), P=dict(P))
 
 
-def _waterfill_capacity(gains, P):
-    """max sum log2(1 + g_k p_k) subject to sum p_k <= P, p >= 0.
-
-    Exact piecewise-linear water level over the positive gains; returns
-    (capacity_bits, powers aligned with gains).
-    """
-    g = np.asarray(gains, dtype=float)
-    p = np.zeros_like(g)
-    pos = np.where(g > 0)[0]
-    if pos.size == 0:
-        return 0.0, p
-    inv = 1.0 / g[pos]
-    order = np.argsort(inv)
-    inv_sorted = inv[order]
-    k = pos.size
-    while k > 0:
-        mu = (P + inv_sorted[:k].sum()) / k
-        if mu > inv_sorted[k - 1]:
-            break
-        k -= 1
-    alloc = np.maximum(mu - inv_sorted[:k], 0.0)
-    p_pos = np.zeros(pos.size)
-    p_pos[order[:k]] = alloc
-    p[pos] = p_pos
-    cap = float(np.log2(1.0 + g[pos] * p_pos).sum())
-    return cap, p
-
-
 def one_way_capacity(ch, i):
     """Half-duplex capacity of the i -> j link against thermal noise only:
     max over trace(Q) <= P_i of log2 det(I + eta_ij H_ij Q H_ij^H)."""
@@ -181,8 +162,8 @@ def one_way_capacity(ch, i):
     Hij = ch.H[(i, j)]
     G = ch.eta[(i, j)] * (Hij.conj().T @ Hij)
     gains = np.linalg.eigvalsh((G + G.conj().T) / 2)
-    cap, _ = _waterfill_capacity(np.maximum(gains, 0.0), ch.P[i])
-    return cap
+    powers, _ = water_fill(gains, ch.P[i])
+    return float(np.log2(1.0 + gains * powers).sum())
 
 
 def tdma_sum_rate(ch):

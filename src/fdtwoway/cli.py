@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import _complex_to_pairs, channel_from_dict
-from .harness import ExperimentSpec, _fmt, run
+from .channel import channel_from_dict
+from .harness import ExperimentSpec, _jsonable, run
 from .nash import IwfaConfig, export_trace_csv, iwfa, uniqueness_condition
 from .pareto import export_boundary_csv, pareto_boundary
 
@@ -33,7 +33,6 @@ class CliInvocation:
     config: dict
     seed: int
     output: str
-    threads: int
     require_convergence: bool
 
 
@@ -86,7 +85,6 @@ def parse_invocation(argv):
                        default=[], metavar="KEY=VALUE")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--require-convergence", action="store_true")
     args = parser.parse_args(argv)
     try:
@@ -100,32 +98,12 @@ def parse_invocation(argv):
     for item in args.overrides:
         key, value = _parse_override(item)
         _apply_override(config, args.command, key, value)
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
     seed = args.seed
     if seed is None:
         seed = config.get("seed", DEFAULT_SEED)
     return CliInvocation(command=args.command, config=config, seed=seed,
-                         output=args.output, threads=args.threads,
+                         output=args.output,
                          require_convergence=args.require_convergence)
-
-
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _complex_to_pairs(np.atleast_2d(obj))
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 def _emit(text, output):
@@ -202,21 +180,14 @@ def _run_experiment(inv):
         raise UsageError("config is missing an 'experiment' section "
                          "with a 'name'")
     params = dict(section.get("params", {}))
-    params.setdefault("threads", inv.threads)
     try:
         spec = ExperimentSpec(name=section["name"], params=params,
-                              rng_seed=inv.seed, output_path=inv.output)
+                              rng_seed=inv.seed)
     except ValueError as e:
         raise UsageError(str(e))
     result = run(spec)
     if inv.output is None:
-        buf = io.StringIO()
-        import csv as _csv
-        w = _csv.writer(buf)
-        w.writerow(result.columns)
-        for row in result.rows:
-            w.writerow([_fmt(v) for v in row])
-        sys.stdout.write(buf.getvalue())
+        result.write_csv(sys.stdout)
         print(json.dumps(result.metadata, sort_keys=True), file=sys.stderr)
     else:
         result.write_csv(inv.output)

@@ -7,6 +7,7 @@ Monte Carlo averages carry standard errors.
 """
 
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -14,9 +15,9 @@ import numpy as np
 from scipy.stats import norm
 
 from . import __version__
-from .channel import (FdChannelModel, achievable_rate, db_to_linear,
-                      miso_rate, one_way_capacity, sample_channel,
-                      tdma_sum_rate)
+from .channel import (FdChannelModel, _complex_to_pairs, achievable_rate,
+                      db_to_linear, miso_rate, one_way_capacity,
+                      sample_channel, tdma_sum_rate)
 from .nash import (IwfaConfig, circulant_uniqueness_probability, iwfa,
                    miso_ne)
 from .pareto import pareto_boundary, zf_beamforming
@@ -49,7 +50,6 @@ class ExperimentSpec:
     name: str
     params: dict
     rng_seed: int = 0
-    output_path: str = None
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
@@ -70,13 +70,17 @@ class ExperimentResult:
     rows: list
     metadata: dict = field(default_factory=dict)
 
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
+    def write_csv(self, path_or_file):
+        """CSV to a writable text object, or to a path together with the
+        metadata in a <path>.meta.json sidecar."""
+        if hasattr(path_or_file, "write"):
+            w = csv.writer(path_or_file)
             w.writerow(self.columns)
-            for row in self.rows:
-                w.writerow([_fmt(v) for v in row])
-        side = str(path) + ".meta.json"
+            w.writerows([_fmt(v) for v in row] for row in self.rows)
+            return
+        with open(path_or_file, "w", encoding="utf-8", newline="") as f:
+            self.write_csv(f)
+        side = str(path_or_file) + ".meta.json"
         with open(side, "w", encoding="utf-8") as f:
             json.dump(self.metadata, f, indent=1, sort_keys=True)
 
@@ -93,10 +97,16 @@ def _metadata(spec):
 
 
 def _jsonable(obj):
+    if dataclasses.is_dataclass(obj):
+        return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _complex_to_pairs(np.atleast_2d(obj))
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -141,8 +151,8 @@ def run_rate_region(spec):
     p = spec.params
     beta = _beta_linear(p["beta_db"])
     M, P, grid = p["M"], p["P"], p["grid"]
-    rng = _stream(spec, 0)
     rows = []
+    zf_skipped = {}
     for gi, gamma_db in enumerate(p["gamma_db_list"]):
         gamma = float(db_to_linear(gamma_db))
         eta_direct = 1.0
@@ -159,13 +169,17 @@ def run_rate_region(spec):
         ne = miso_ne(ch)
         rows.append([float(gamma_db), "ne", float("nan"), float("nan"),
                      miso_rate(ch, 1, ne), miso_rate(ch, 2, ne)])
-        w1, w2 = zf_beamforming(ch, 1), zf_beamforming(ch, 2)
+        try:
+            w1, w2 = zf_beamforming(ch, 1), zf_beamforming(ch, 2)
+        except ValueError as e:     # M = 1 or parallel channels
+            zf_skipped[float(gamma_db)] = str(e)
+            continue
         prof = (np.outer(w1, w1.conj()), np.outer(w2, w2.conj()))
         rows.append([float(gamma_db), "zf", float("nan"), float("nan"),
                      miso_rate(ch, 1, prof), miso_rate(ch, 2, prof)])
     return ExperimentResult(
         columns=["gamma_db", "kind", "z1", "z2", "r1_bits", "r2_bits"],
-        rows=rows, metadata=_metadata(spec))
+        rows=rows, metadata=dict(_metadata(spec), zf_skipped=zf_skipped))
 
 
 # --------------------------------------------------------------- Fig 7
@@ -369,6 +383,7 @@ def run_ber(spec):
     M, P = p["M"], p["P"]
     n_symbols = int(p["bits_per_point"]) // 2
     rows = []
+    zf_skipped = {}
     for si, snr_db in enumerate(p["snr_db_sweep"]):
         eta_d = float(db_to_linear(snr_db)) / P
         eta_s = eta_d / gamma
@@ -381,8 +396,8 @@ def run_ber(spec):
         try:
             w_zf = zf_beamforming(ch, 1)
             strategies["zf"] = (w_zf, zf_beamforming(ch, 2))
-        except ValueError:
-            pass
+        except ValueError as e:
+            zf_skipped[float(snr_db)] = str(e)
         if beta > 0:
             strategies["optimal"] = _max_sum_rate_weights(
                 ch, p["boundary_grid"])
@@ -402,4 +417,4 @@ def run_ber(spec):
     return ExperimentResult(
         columns=["snr_db", "strategy", "ber", "wilson_lo", "wilson_hi",
                  "ber_gaussian_approx", "bits"],
-        rows=rows, metadata=_metadata(spec))
+        rows=rows, metadata=dict(_metadata(spec), zf_skipped=zf_skipped))

@@ -7,6 +7,8 @@ enters through an explicit ``numpy.random.Generator``.
 import numpy as np
 
 HERMITIAN_RTOL = 1e-10
+# water_fill treats gains <= this times max(largest gain, 1) as zero
+WATERFILL_RTOL = 1e-14
 
 
 def check_hermitian(A, rtol=HERMITIAN_RTOL):
@@ -56,6 +58,28 @@ def weighted_max_norm(X1, X2, w):
     return max(np.linalg.norm(X1) / w1, np.linalg.norm(X2) / w2)
 
 
+def water_fill(gains, P):
+    """Powers p >= 0 with sum(p) = P maximizing sum log(1 + g p) along the
+    last axis (leading axes are a batch, P broadcasts against them):
+    p_k = max(mu - 1/g_k, 0). With 1/g sorted ascending, mu_k = (P +
+    cumsum(1/g)_k) / k and mu is mu_k at the last k with mu_k > 1/g_(k).
+    Returns (powers aligned with gains, mu); mu = 0 if no gain is usable.
+    """
+    g = np.asarray(gains, dtype=float)
+    n = g.shape[-1]
+    usable = g > WATERFILL_RTOL * np.maximum(g.max(axis=-1, keepdims=True),
+                                             1.0)
+    inv = np.divide(1.0, g, out=np.full(g.shape, np.inf), where=usable)
+    inv_sorted = np.sort(inv, axis=-1)
+    levels = ((np.asarray(P, dtype=float)[..., None]
+               + np.cumsum(inv_sorted, axis=-1)) / np.arange(1, n + 1))
+    above = levels > inv_sorted
+    last = n - 1 - np.argmax(above[..., ::-1], axis=-1)
+    mu = np.take_along_axis(levels, last[..., None], axis=-1)[..., 0]
+    mu = np.where(above[..., 0], mu, 0.0)
+    return np.maximum(mu[..., None] - inv, 0.0), mu
+
+
 def circulant_eigenvalues(first_row):
     """Eigenvalues of the circulant matrix generated by its first row.
 
@@ -66,13 +90,6 @@ def circulant_eigenvalues(first_row):
     if c.ndim != 1 or c.size == 0:
         raise ValueError("generator must be a nonempty vector")
     return np.fft.fft(c)
-
-
-def circulant_matrix(first_row):
-    """Dense circulant matrix from its first row (test/oracle helper)."""
-    c = np.asarray(first_row, dtype=complex)
-    M = c.size
-    return np.array([[c[(n - m) % M] for n in range(M)] for m in range(M)])
 
 
 def sample_complex_gaussian(rows, cols, rng):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .channel import check_covariance, miso_rate, other
+from .channel import miso_rate, other
 
 EPS_BISECT_RTOL = 1e-12
 RANK_ONE_RATIO = 1e-8
@@ -99,21 +99,26 @@ def optimal_beamforming(prob, tol=1e-10):
 
     eps = 0 whenever the power constraint is slack; otherwise eps > 0 is
     found by bisection on ||w(eps)||^2 = P (the norm is strictly decreasing
-    in eps). Returns the covariance Q = w w^H, the self-interference
-    objective and eps.
+    in eps). At z >= z_max the only feasible beamformers are the full-power
+    matched filter sqrt(P) h / ||h|| up to phase; Slater's condition fails
+    there, no finite eps attains it, and eps = inf is returned. Returns the
+    covariance Q = w w^H, the self-interference objective and eps.
     """
     M = prob.h_dir.size
     if prob.z == 0.0:
         w = np.zeros(M, dtype=complex)
         return DecoupledSolution(Q=np.outer(w, w.conj()), objective=0.0,
                                  epsilon=0.0, w=w)
-    if np.linalg.norm(prob.h_dir) == 0.0:
+    h_norm = float(np.linalg.norm(prob.h_dir))
+    if h_norm == 0.0:
         raise ValueError("z > 0 is infeasible for a zero direct channel")
     c, singular = _c_diag(prob)
-    w = _weights_for_eps(prob, c, 0.0)
-    eps = 0.0
+    if prob.z >= prob.z_max:
+        w, eps = np.sqrt(prob.P) * prob.h_dir / h_norm, np.inf
+    else:
+        w, eps = _weights_for_eps(prob, c, 0.0), 0.0
     norm2 = float(np.linalg.norm(w) ** 2)
-    if norm2 > prob.P * (1 + tol):
+    if eps == 0.0 and norm2 > prob.P * (1 + tol):
         lo, g_lo = 0.0, norm2 - prob.P          # g(0) > 0
         hi = 1.0
         while float(np.linalg.norm(_weights_for_eps(prob, c, hi)) ** 2) > prob.P:
@@ -160,6 +165,9 @@ def dual_certificate(prob, sol, tol=1e-6):
     lambda1 = 1 / (h^H (C + eps I)^-1 h). Certifies Z >= 0 and
     complementary slackness tr(Z Q) = 0.
     """
+    if np.isinf(sol.epsilon):
+        raise ValueError("no dual certificate at z = z_max: Slater's "
+                         "condition fails and the multipliers are unbounded")
     c, _ = _c_diag(prob)
     C = prob.C
     if prob.z == 0.0:
@@ -371,46 +379,6 @@ def zf_beamforming(ch, i):
         raise ValueError("direct and self-interference channels are "
                          "parallel; zero forcing is infeasible")
     return np.sqrt(ch.P[i]) * proj / nrm
-
-
-def _sphere_grid(M, n, rng):
-    """Random complex unit directions (deterministic per generator)."""
-    g = (rng.normal(size=(n, M)) + 1j * rng.normal(size=(n, M)))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def weighted_sum_rate_oracle(ch, mu1, n_dirs=400, n_powers=8, seed=0):
-    """Brute-force grid maximizer of mu1 R1 + mu2 R2 (test oracle).
-
-    MISO only (N = 1, M <= 3): rank-one candidates on a random sphere grid
-    crossed with power levels, evaluated jointly over both nodes. The
-    optimality gap is bounded by the grid resolution.
-    """
-    if ch.N != 1 or ch.M > 3:
-        raise ValueError("oracle restricted to desk-scale MISO instances")
-    mu2 = 1.0 - mu1
-    rng = np.random.default_rng(seed)
-    cands = {}
-    for i in (1, 2):
-        j = other(i)
-        h_dir, h_self = ch.h(i, j), ch.h(i, i)
-        dirs = np.vstack([_sphere_grid(ch.M, n_dirs, rng),
-                          (h_dir / np.linalg.norm(h_dir))[None, :]])
-        powers = np.linspace(0.0, ch.P[i], n_powers + 1)[1:]
-        W = (np.sqrt(powers)[:, None, None] * dirs[None, :, :]).reshape(-1, ch.M)
-        W = np.vstack([np.zeros((1, ch.M), dtype=complex), W])
-        sig = ch.eta[(i, j)] * np.abs(W @ h_dir.conj()) ** 2
-        cost = ch.beta * ch.eta[(i, i)] * (np.abs(W) ** 2 @ np.abs(h_self) ** 2)
-        cands[i] = (W, sig, cost)
-    W1, sig1, cost1 = cands[1]
-    W2, sig2, cost2 = cands[2]
-    val = (mu1 * np.log2(1.0 + sig1[:, None] / (1.0 + cost2[None, :]))
-           + mu2 * np.log2(1.0 + sig2[None, :] / (1.0 + cost1[:, None])))
-    a, b = np.unravel_index(np.argmax(val), val.shape)
-    profile = (np.outer(W1[a], W1[a].conj()), np.outer(W2[b], W2[b].conj()))
-    check_covariance(profile[0], ch.P[1])
-    check_covariance(profile[1], ch.P[2])
-    return profile, float(val[a, b])
 
 
 def export_boundary_csv(points, path_or_file):

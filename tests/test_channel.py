@@ -9,8 +9,8 @@ from fdtwoway.channel import (FdChannelModel, achievable_rate,
                               interference_covariance, linear_to_db,
                               load_channel, miso_rate, one_way_capacity,
                               region_sample, sample_channel, save_channel,
-                              simulate_frame, tdma_sum_rate,
-                              _waterfill_capacity)
+                              simulate_frame, tdma_sum_rate)
+from fdtwoway.linalg import water_fill
 
 
 def make_channel(M=3, N=2, beta=1e-4, seed=0, symmetric=False):
@@ -89,6 +89,12 @@ class TestRates:
         ch = make_channel(seed=7)
         zero = (np.zeros((3, 3)), np.zeros((3, 3)))
         assert achievable_rate(ch, 1, zero) == 0.0
+
+
+def _waterfill_capacity(gains, P):
+    """(capacity in bits, powers) of the water-filling allocation."""
+    powers, _ = water_fill(gains, P)
+    return float(np.log2(1.0 + gains * powers).sum()), powers
 
 
 class TestWaterfill:

@@ -128,7 +128,3 @@ class TestDispatch:
 
     def test_experiment_missing_section_exits_2(self, channel_config):
         assert main(["experiment", "--config", str(channel_config)]) == 2
-
-    def test_bad_threads_exits_2(self, channel_config):
-        assert main(["pareto", "--config", str(channel_config),
-                     "--threads", "0"]) == 2

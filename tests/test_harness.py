@@ -82,6 +82,15 @@ class TestRateRegion:
         zf = next(r for r in res.rows if r[1] == "zf")
         assert ne[4] >= zf[4] and ne[5] >= zf[5]
 
+    def test_single_antenna_skips_zf_with_reason(self):
+        spec = ExperimentSpec("rate_region",
+                              {"beta_db": -40.0, "gamma_db_list": [-20.0],
+                               "M": 1, "grid": 10}, rng_seed=1)
+        res = run_rate_region(spec)
+        kinds = {r[1] for r in res.rows}
+        assert kinds == {"boundary", "tdma", "ne"}
+        assert "M >= 2" in res.metadata["zf_skipped"][-20.0]
+
 
 class TestNeVsTdma:
     def test_columns_and_exclusions(self):

@@ -4,9 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdtwoway.linalg import (check_hermitian, circulant_eigenvalues,
-                             circulant_matrix, hermitian_eig,
-                             pseudo_inverse, sample_complex_gaussian,
-                             spectral_radius, weighted_max_norm)
+                             hermitian_eig, pseudo_inverse,
+                             sample_complex_gaussian, spectral_radius,
+                             water_fill, weighted_max_norm)
+
+
+def circulant_matrix(first_row):
+    """Dense circulant matrix from its first row."""
+    c = np.asarray(first_row, dtype=complex)
+    M = c.size
+    return np.array([[c[(n - m) % M] for n in range(M)] for m in range(M)])
 
 
 def random_hermitian(n, rng):
@@ -106,3 +113,72 @@ class TestComplexGaussian:
         # circular symmetry: E[z^2] = 0
         assert abs(np.mean(z ** 2)) < 0.02
         assert np.var(z.real) == pytest.approx(0.5, abs=0.02)
+
+
+def loop_water_fill(gains, P):
+    """Reference: the sequential water-level search over the positive
+    gains, lowering the number of active modes until the level clears the
+    last one. Returns (powers aligned with gains, water level)."""
+    g = np.asarray(gains, dtype=float)
+    p = np.zeros_like(g)
+    pos = np.where(g > 0)[0]
+    if pos.size == 0:
+        return p, 0.0
+    inv = 1.0 / g[pos]
+    order = np.argsort(inv)
+    inv_sorted = inv[order]
+    k = pos.size
+    while k > 0:
+        mu = (P + inv_sorted[:k].sum()) / k
+        if mu > inv_sorted[k - 1]:
+            break
+        k -= 1
+    p_pos = np.zeros(pos.size)
+    p_pos[order[:k]] = mu - inv_sorted[:k]
+    p[pos] = p_pos
+    return p, mu
+
+
+class TestWaterFill:
+    GAINS = np.array([0.0, 2.5, -1.0, 0.4, 7.0, 0.0, 1.1, -3e-3])
+
+    def _budgets(self):
+        """(k, P) with P inside the range of budgets that activates
+        exactly k modes, for k = 1 .. number of positive gains."""
+        inv = np.sort(1.0 / self.GAINS[self.GAINS > 0])
+        # k modes are active while P lies between these breakpoints
+        breaks = [float(np.sum(inv[k] - inv[:k])) for k in range(inv.size)]
+        breaks.append(breaks[-1] + 10.0)
+        return [(k, 0.5 * (breaks[k - 1] + breaks[k]))
+                for k in range(1, inv.size + 1)]
+
+    def test_matches_loop_at_every_active_count(self):
+        for k, P in self._budgets():
+            powers, mu = water_fill(self.GAINS, P)
+            ref_p, ref_mu = loop_water_fill(self.GAINS, P)
+            assert np.count_nonzero(powers) == k
+            assert np.array_equal(powers > 0, ref_p > 0)
+            assert np.allclose(powers, ref_p, rtol=1e-13, atol=1e-14)
+            assert mu == pytest.approx(ref_mu, rel=1e-13)
+            assert powers.sum() == pytest.approx(P, rel=1e-13)
+            assert np.all(powers[self.GAINS <= 0] == 0.0)
+
+    def test_batch_rows_match_single_calls(self):
+        rng = np.random.default_rng(3)
+        gains = rng.normal(size=(4, 3, 5)) ** 3
+        gains[0, 0] = 0.0
+        P = rng.uniform(0.1, 10.0, size=(4, 3))
+        powers, mu = water_fill(gains, P)
+        for idx in np.ndindex(4, 3):
+            ref_p, ref_mu = loop_water_fill(gains[idx], P[idx])
+            assert np.allclose(powers[idx], ref_p, rtol=1e-13, atol=1e-14)
+            assert mu[idx] == pytest.approx(ref_mu, rel=1e-13)
+
+    def test_no_positive_gain(self):
+        powers, mu = water_fill(np.array([0.0, -1.0, 0.0]), 5.0)
+        assert mu == 0.0
+        assert np.all(powers == 0.0)
+
+    def test_numerically_zero_gains_get_no_power(self):
+        powers, _ = water_fill(np.array([1e-20, 2.0]), 1e30)
+        assert powers[0] == 0.0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from fdtwoway.channel import (achievable_rate, interference_covariance,
+from fdtwoway.channel import (FdChannelModel, achievable_rate,
+                              db_to_linear, interference_covariance, other,
                               sample_channel)
 from fdtwoway.nash import (IwfaConfig,
                            best_response, circulant_uniqueness_probability,
@@ -242,3 +243,119 @@ class TestExportTrace:
         assert lines[0] == ("iter,residual,r1_bits,r2_bits,"
                             "updated_node1,updated_node2")
         assert len(lines) == tr.iterations + 1
+
+
+# Reference iteration: the per-node best response and the IWFA loop as
+# they were before the fused kernel, each node solved on its own through
+# Sigma = I + beta eta_jj H_jj diag(Q_j) H_jj^H and a sequential
+# water-level search.
+
+def seed_best_response(ch, i, Q_j):
+    j = other(i)
+    Hjj = ch.H[(j, j)]
+    D = np.diag(np.diag(Q_j).real)
+    Sigma_j = np.eye(ch.N) + ch.beta * ch.eta[(j, j)] * (
+        Hjj @ D @ Hjj.conj().T)
+    Hij = ch.H[(i, j)]
+    W = ch.eta[(i, j)] * Hij.conj().T @ np.linalg.solve(Sigma_j, Hij)
+    W = (W + W.conj().T) / 2
+    P = ch.P[i]
+    lam, U = np.linalg.eigh(W)
+    lam = lam[::-1]
+    U = U[:, ::-1]
+    pos = (lam > 1e-14 * max(float(lam.max()), 1.0) if lam.max() > 0
+           else lam > np.inf)
+    if not np.any(pos):
+        return (P / ch.M) * np.eye(ch.M), 0.0, W, True
+    inv = 1.0 / lam[pos]
+    k = inv.size
+    while k > 0:
+        mu = (P + inv[:k].sum()) / k
+        if mu > inv[k - 1]:
+            break
+        k -= 1
+    p = np.zeros(ch.M)
+    p[np.where(pos)[0][:k]] = mu - inv[:k]
+    Q = (U * p) @ U.conj().T
+    return (Q + Q.conj().T) / 2, float(mu), W, False
+
+
+def seed_iwfa(ch, init, cfg):
+    rng = np.random.default_rng(cfg.rng_seed)
+    profile = (np.asarray(init[0], dtype=complex),
+               np.asarray(init[1], dtype=complex))
+    iterations, converged = 0, False
+    for _ in range(cfg.max_iter):
+        if cfg.mode == "synchronous":
+            flags = (True, True)
+        else:
+            flags = tuple(rng.random() >= cfg.miss_probability
+                          for _ in (1, 2))
+        new = (seed_best_response(ch, 1, profile[1])[0] if flags[0]
+               else profile[0],
+               seed_best_response(ch, 2, profile[0])[0] if flags[1]
+               else profile[1])
+        residual = float(np.sqrt(np.linalg.norm(new[0] - profile[0]) ** 2
+                                 + np.linalg.norm(new[1] - profile[1]) ** 2))
+        iterations += 1
+        profile = new
+        if residual < cfg.delta and all(flags):
+            converged = True
+            break
+    return profile, converged, iterations
+
+
+def ne_vs_tdma_channel(seed, eta_direct_db, eta_self_db, M=3):
+    """A channel drawn as the ne_vs_tdma experiment draws it."""
+    eta_d = float(db_to_linear(eta_direct_db))
+    eta_s = float(db_to_linear(eta_self_db))
+    ch = sample_channel(M, M, {(1, 1): eta_s, (2, 2): eta_s,
+                               (1, 2): eta_d, (2, 1): eta_d},
+                        float(db_to_linear(-60.0)), {1: 10.0, 2: 10.0},
+                        np.random.default_rng(seed), symmetric=True)
+    return FdChannelModel(H={k: v / np.sqrt(M) for k, v in ch.H.items()},
+                          eta=ch.eta, beta=ch.beta, P=ch.P)
+
+
+class TestKernelEquivalence:
+    def _compare(self, ch, cfg):
+        zero = (np.zeros((ch.M, ch.M)), np.zeros((ch.M, ch.M)))
+        ref, ref_converged, ref_iterations = seed_iwfa(ch, zero, cfg)
+        tr = iwfa(ch, zero, cfg)
+        assert tr.converged == ref_converged
+        assert tr.iterations == ref_iterations
+        for k in (0, 1):
+            assert np.max(np.abs(tr.final[k] - ref[k])) <= 1e-9
+        return tr.converged
+
+    def test_sync_matches_reference_on_220_channels(self):
+        cfg = IwfaConfig(delta=1e-8, max_iter=500)
+        outcomes = []
+        for t in range(220):
+            eta_self_db = 40.0 + 2.0 * (t % 21)
+            eta_direct_db = (0.0, 10.0)[(t // 21) % 2]
+            ch = ne_vs_tdma_channel([1234, t], eta_direct_db, eta_self_db)
+            outcomes.append(self._compare(ch, cfg))
+        # both branches of the loop exit are exercised
+        assert any(outcomes) and not all(outcomes)
+
+    def test_async_matches_reference(self):
+        for t in range(12):
+            ch = ne_vs_tdma_channel([4321, t], 0.0, 40.0 + 3.0 * t)
+            cfg = IwfaConfig(delta=1e-8, max_iter=300, mode="asynchronous",
+                             miss_probability=0.3, rng_seed=t)
+            self._compare(ch, cfg)
+
+    def test_best_response_matches_reference(self):
+        rng = np.random.default_rng(21)
+        for seed in range(20):
+            ch = make_channel(seed, M=3, N=2 + seed % 2)
+            Q2 = random_Q(3, 10.0, rng)
+            Q, mu, W, degenerate = seed_best_response(ch, 1, Q2)
+            br = best_response(ch, 1, Q2)
+            assert np.max(np.abs(br.Q - Q)) <= 1e-12
+            assert np.max(np.abs(br.effective_channel - W)) <= 1e-12
+            assert br.water_level == pytest.approx(mu, rel=1e-13)
+            assert br.degenerate == degenerate
+            assert br.rate == pytest.approx(
+                achievable_rate(ch, 1, (Q, Q2)), abs=1e-12)

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from fdtwoway.channel import miso_rate, sample_channel
+from fdtwoway.channel import (check_covariance, miso_rate, other,
+                              sample_channel)
 from fdtwoway.pareto import (DecoupledProblem, dual_certificate,
                              epsilon_zero_condition, export_boundary_csv,
                              is_rank_one, optimal_beamforming,
                              pareto_boundary, pareto_filter, rank_reduce,
-                             weighted_sum_rate_oracle, zf_beamforming)
+                             zf_beamforming)
 
 
 def random_problem(M, rng, z_frac=0.5, P=1.0):
@@ -60,6 +61,46 @@ def make_miso_channel(seed, M=3, beta=1e-6, eta_self=1e4, P=1.0):
     return sample_channel(M, 1, {(1, 1): eta_self, (2, 2): eta_self,
                                  (1, 2): 1.0, (2, 1): 1.0},
                           beta, {1: P, 2: P}, rng)
+
+
+def _sphere_grid(M, n, rng):
+    """Random complex unit directions (deterministic per generator)."""
+    g = (rng.normal(size=(n, M)) + 1j * rng.normal(size=(n, M)))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def weighted_sum_rate_oracle(ch, mu1, n_dirs=400, n_powers=8, seed=0):
+    """Brute-force grid maximizer of mu1 R1 + mu2 R2 (test oracle).
+
+    MISO only (N = 1, M <= 3): rank-one candidates on a random sphere grid
+    crossed with power levels, evaluated jointly over both nodes. The
+    optimality gap is bounded by the grid resolution.
+    """
+    if ch.N != 1 or ch.M > 3:
+        raise ValueError("oracle restricted to desk-scale MISO instances")
+    mu2 = 1.0 - mu1
+    rng = np.random.default_rng(seed)
+    cands = {}
+    for i in (1, 2):
+        j = other(i)
+        h_dir, h_self = ch.h(i, j), ch.h(i, i)
+        dirs = np.vstack([_sphere_grid(ch.M, n_dirs, rng),
+                          (h_dir / np.linalg.norm(h_dir))[None, :]])
+        powers = np.linspace(0.0, ch.P[i], n_powers + 1)[1:]
+        W = (np.sqrt(powers)[:, None, None] * dirs[None, :, :]).reshape(-1, ch.M)
+        W = np.vstack([np.zeros((1, ch.M), dtype=complex), W])
+        sig = ch.eta[(i, j)] * np.abs(W @ h_dir.conj()) ** 2
+        cost = ch.beta * ch.eta[(i, i)] * (np.abs(W) ** 2 @ np.abs(h_self) ** 2)
+        cands[i] = (W, sig, cost)
+    W1, sig1, cost1 = cands[1]
+    W2, sig2, cost2 = cands[2]
+    val = (mu1 * np.log2(1.0 + sig1[:, None] / (1.0 + cost2[None, :]))
+           + mu2 * np.log2(1.0 + sig2[None, :] / (1.0 + cost1[:, None])))
+    a, b = np.unravel_index(np.argmax(val), val.shape)
+    profile = (np.outer(W1[a], W1[a].conj()), np.outer(W2[b], W2[b].conj()))
+    check_covariance(profile[0], ch.P[1])
+    check_covariance(profile[1], ch.P[2])
+    return profile, float(val[a, b])
 
 
 class TestOptimalBeamforming:
@@ -141,6 +182,14 @@ class TestDualCertificate:
             assert cert.lambda2 == sol.epsilon
             assert np.linalg.norm(cert.Z @ sol.w) < 1e-8
             assert cert.min_eig > -1e-8
+
+    def test_refuses_zmax(self):
+        prob = random_problem(3, np.random.default_rng(7), z_frac=1.0)
+        sol = optimal_beamforming(prob)
+        assert sol.epsilon == np.inf
+        assert np.linalg.norm(sol.w) ** 2 == pytest.approx(prob.P, rel=1e-12)
+        with pytest.raises(ValueError, match="Slater"):
+            dual_certificate(prob, sol)
 
     def test_lower_bound_interpretation(self):
         # weak duality: lambda1 * z - lambda2 * P lower-bounds the objective
@@ -249,6 +298,18 @@ class TestParetoBoundary:
             _, val = weighted_sum_rate_oracle(ch, mu1, n_dirs=300, seed=1)
             best = max(mu1 * p.r1 + (1 - mu1) * p.r2 for p in pts)
             assert best >= val - 5e-3
+
+    def test_zmax_corner_is_finite(self):
+        # seed 838: the search for eps at z = z_max used to double eps to
+        # infinity, giving NaN weights and an IndexError in pareto_filter
+        ch = make_miso_channel(seed=838)
+        pts = pareto_boundary(ch, grid=(200, 200))
+        assert all(np.isfinite(p.r1) and np.isfinite(p.r2) for p in pts)
+        corner = max(pts, key=lambda p: p.r1)
+        assert corner.epsilon1 == np.inf
+        h12 = ch.h(1, 2)
+        w = np.sqrt(ch.P[1]) * h12 / np.linalg.norm(h12)
+        assert np.allclose(corner.Q1, np.outer(w, w.conj()), atol=1e-12)
 
     def test_rejects_mimo(self):
         rng = np.random.default_rng(13)
