@@ -5,6 +5,7 @@ conversion happens only at config boundaries via db_to_linear/linear_to_db.
 Rates are log base 2 (bits per channel use). Node indices are 1 and 2.
 """
 
+import csv
 import json
 from dataclasses import dataclass, field
 
@@ -246,3 +247,15 @@ def save_channel(ch, path):
 def load_channel(path):
     with open(path, encoding="utf-8") as f:
         return channel_from_dict(json.load(f))
+
+
+def _write_csv(path_or_file, header, rows):
+    """Write a CSV header and rows to a writable text object, or to a new
+    file at a path."""
+    if hasattr(path_or_file, "write"):
+        w = csv.writer(path_or_file)
+        w.writerow(header)
+        w.writerows(rows)
+        return
+    with open(path_or_file, "w", encoding="utf-8", newline="") as f:
+        _write_csv(f, header, rows)

@@ -117,7 +117,12 @@ def _emit(text, output):
 def _load_channel_section(config):
     if "channel" not in config:
         raise UsageError("config is missing the 'channel' section")
-    return channel_from_dict(config["channel"])
+    try:
+        return channel_from_dict(config["channel"])
+    except KeyError as e:
+        raise UsageError(f"'channel' section is missing the key {e}")
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"malformed 'channel' section: {e}")
 
 
 def _run_pareto(inv):

@@ -6,7 +6,6 @@ ExperimentResult whose CSV rendering is byte-identical for a fixed spec.
 Monte Carlo averages carry standard errors.
 """
 
-import csv
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -15,9 +14,9 @@ import numpy as np
 from scipy.stats import norm
 
 from . import __version__
-from .channel import (FdChannelModel, _complex_to_pairs, achievable_rate,
-                      db_to_linear, miso_rate, one_way_capacity,
-                      sample_channel, tdma_sum_rate)
+from .channel import (FdChannelModel, _complex_to_pairs, _write_csv,
+                      achievable_rate, db_to_linear, miso_rate,
+                      one_way_capacity, sample_channel, tdma_sum_rate)
 from .nash import (IwfaConfig, circulant_uniqueness_probability, iwfa,
                    miso_ne)
 from .pareto import pareto_boundary, zf_beamforming
@@ -44,6 +43,9 @@ _DEFAULTS = {
             "boundary_grid": 60},
 }
 
+# integer counts; a BER point needs at least one QPSK symbol (two bits)
+_MIN_COUNTS = {"trials": 1, "bits_per_point": 2}
+
 
 @dataclass
 class ExperimentSpec:
@@ -61,6 +63,18 @@ class ExperimentSpec:
                              f"{sorted(missing)}")
         merged = dict(_DEFAULTS[self.name])
         merged.update(self.params)
+        for key, value in merged.items():
+            if (key.endswith(("_list", "_sweep", "_budgets"))
+                    and not isinstance(value, (list, tuple))):
+                raise ValueError(f"param {key!r} must be a list, "
+                                 f"got {value!r}")
+        for key, least in _MIN_COUNTS.items():
+            value = merged.get(key, least)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise ValueError(f"param {key!r} must be an integer >= "
+                                 f"{least}, got {value!r}")
         self.params = merged
 
 
@@ -73,16 +87,12 @@ class ExperimentResult:
     def write_csv(self, path_or_file):
         """CSV to a writable text object, or to a path together with the
         metadata in a <path>.meta.json sidecar."""
-        if hasattr(path_or_file, "write"):
-            w = csv.writer(path_or_file)
-            w.writerow(self.columns)
-            w.writerows([_fmt(v) for v in row] for row in self.rows)
-            return
-        with open(path_or_file, "w", encoding="utf-8", newline="") as f:
-            self.write_csv(f)
-        side = str(path_or_file) + ".meta.json"
-        with open(side, "w", encoding="utf-8") as f:
-            json.dump(self.metadata, f, indent=1, sort_keys=True)
+        _write_csv(path_or_file, self.columns,
+                   ([_fmt(v) for v in row] for row in self.rows))
+        if not hasattr(path_or_file, "write"):
+            side = str(path_or_file) + ".meta.json"
+            with open(side, "w", encoding="utf-8") as f:
+                json.dump(self.metadata, f, indent=1, sort_keys=True)
 
 
 def _fmt(v):

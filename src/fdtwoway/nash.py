@@ -3,12 +3,12 @@ water-filling (sync and async), Nash-equilibrium uniqueness conditions
 and contraction diagnostics.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _noise_covariance, achievable_rate, other
+from .channel import (_noise_covariance, _write_csv, achievable_rate,
+                      other)
 from .linalg import (pseudo_inverse, spectral_radius, water_fill,
                      weighted_max_norm)
 
@@ -312,23 +312,14 @@ def miso_ne(ch, tol=1e-8, verify=True):
 def export_trace_csv(ch, trace, path_or_file):
     """CSV export: iter, residual, r1_bits, r2_bits, updated_node1,
     updated_node2. Accepts a file path or a writable text object."""
-    if hasattr(path_or_file, "write"):
-        _write_trace_rows(ch, trace, path_or_file)
-        return
-    with open(path_or_file, "w", encoding="utf-8", newline="") as f:
-        _write_trace_rows(ch, trace, f)
-
-
-def _write_trace_rows(ch, trace, f):
-    w = csv.writer(f)
-    w.writerow(["iter", "residual", "r1_bits", "r2_bits",
-                "updated_node1", "updated_node2"])
-    for k in range(trace.iterations):
-        prof = trace.iterates[k + 1]
-        w.writerow([k + 1, repr(trace.residuals[k]),
-                    repr(achievable_rate(ch, 1, prof)),
-                    repr(achievable_rate(ch, 2, prof)),
-                    int(trace.schedule[k][0]), int(trace.schedule[k][1])])
+    _write_csv(path_or_file,
+               ["iter", "residual", "r1_bits", "r2_bits",
+                "updated_node1", "updated_node2"],
+               ([k + 1, repr(trace.residuals[k]),
+                 repr(achievable_rate(ch, 1, trace.iterates[k + 1])),
+                 repr(achievable_rate(ch, 2, trace.iterates[k + 1])),
+                 int(trace.schedule[k][0]), int(trace.schedule[k][1])]
+                for k in range(trace.iterations)))
 
 
 # Rank-deficient counterexample channel: 3x2 direct channels (rank 2 < N),

@@ -10,13 +10,11 @@ regularizer eps found by bisection, plus a KKT dual certificate and a
 constructive rank-one reduction for higher-rank optimal solutions.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
-from .channel import miso_rate, other
+from .channel import _write_csv, miso_rate, other
 
 EPS_BISECT_RTOL = 1e-12
 RANK_ONE_RATIO = 1e-8
@@ -191,78 +189,36 @@ def dual_certificate(prob, sol, tol=1e-6):
                            min_eig=min_eig, slack=slack)
 
 
-def _hermitian_basis(r):
-    """Real basis of the r x r Hermitian space (r^2 matrices)."""
-    basis = []
-    for a in range(r):
-        E = np.zeros((r, r), dtype=complex)
-        E[a, a] = 1.0
-        basis.append(E)
-    for a in range(r):
-        for b in range(a + 1, r):
-            E = np.zeros((r, r), dtype=complex)
-            E[a, b] = E[b, a] = 1.0 / np.sqrt(2)
-            basis.append(E)
-            E = np.zeros((r, r), dtype=complex)
-            E[a, b] = -1j / np.sqrt(2)
-            E[b, a] = 1j / np.sqrt(2)
-            basis.append(E)
-    return basis
+def rank_reduce(Q_opt, prob, tol=1e-9):
+    """Rank-one solution with the received power and self-interference
+    cost of an optimal solution Q_opt.
 
-
-def _numerical_rank(Q, rtol):
-    vals = np.linalg.eigvalsh((Q + Q.conj().T) / 2)
-    top = float(vals.max())
-    if top <= 0:
-        return 0, vals
-    return int(np.sum(vals > rtol * top)), vals
-
-
-def rank_reduce(Q_opt, prob, tol=1e-9, rank_rtol=1e-9):
-    """Constructive reduction of an optimal solution to rank one.
-
-    Writes Q = V V^H, solves the two-equation linear system
-    tr(V^H A V X) = 0, tr(X) = 0 on the Hermitian space, and updates
-    Q <- V (I - X / sigma_1) V^H with sigma_1 the largest-magnitude
-    eigenvalue of X, until rank one. Preserves trace(Q), tr(A Q) and the
-    objective exactly.
+    With w = Q h / sqrt(h^H Q h), w w^H meets h^H (w w^H) h = h^H Q h, and
+    Q - w w^H >= 0 (Schur complement), so w w^H costs no more
+    self-interference and no more power than Q: for an optimal Q it is an
+    optimal rank-one solution with the same objective. The trace does not
+    increase; it is equal when Q is already rank one or the power budget
+    binds, the only case in which the optimum is unique. Returns the zero
+    matrix when h^H Q h = 0. Raises ArithmeticError when tr(A R) or
+    tr(C R) of the result R differs from Q's by more than tol (relative),
+    as it does for a Q that is not optimal, or when tr(R) exceeds tr(Q).
     """
     Q = np.asarray(Q_opt, dtype=complex)
-    A = prob.A
-    target = (float(np.trace(Q).real),
-              float(np.trace(A @ Q).real),
+    h = prob.h_dir
+    Qh = Q @ h
+    s = float(np.vdot(h, Qh).real)
+    w = Qh / np.sqrt(s) if s > 0.0 else np.zeros_like(h)
+    R = np.outer(w, w.conj())
+    target = (float(np.trace(prob.A @ Q).real),
               float(np.trace(prob.C @ Q).real))
-    for _ in range(Q.shape[0] + 1):
-        r, vals = _numerical_rank(Q, rank_rtol)
-        if r <= 1:
-            break
-        lam, U = np.linalg.eigh((Q + Q.conj().T) / 2)
-        order = np.argsort(lam)[::-1][:r]
-        V = U[:, order] * np.sqrt(np.maximum(lam[order], 0.0))
-        Mmat = V.conj().T @ A @ V
-        basis = _hermitian_basis(r)
-        rows = np.array([
-            [float(np.trace(Mmat @ E).real) for E in basis],
-            [float(np.trace(E).real) for E in basis],
-        ])
-        ns = null_space(rows)
-        if ns.shape[1] == 0:
-            raise ArithmeticError(
-                "no nonzero solution to the reduction system; numerical "
-                "rank misestimate, retry with a tighter rank threshold")
-        coeffs = ns[:, 0]
-        X = sum(c * E for c, E in zip(coeffs, basis))
-        sig = np.linalg.eigvalsh(X)
-        sigma1 = sig[np.argmax(np.abs(sig))]
-        Q = V @ (np.eye(r) - X / sigma1) @ V.conj().T
-        Q = (Q + Q.conj().T) / 2
-    new = (float(np.trace(Q).real),
-           float(np.trace(A @ Q).real),
-           float(np.trace(prob.C @ Q).real))
+    new = (float(np.trace(prob.A @ R).real),
+           float(np.trace(prob.C @ R).real))
     drift = max(abs(a - b) for a, b in zip(target, new))
     if drift > tol * max(1.0, *map(abs, target)):
         raise ArithmeticError(f"reduction drifted feasibility by {drift:.3e}")
-    return Q
+    if np.trace(R).real > np.trace(Q).real * (1 + tol):
+        raise ArithmeticError("reduction increased the transmit power")
+    return R
 
 
 def is_rank_one(Q, ratio=RANK_ONE_RATIO):
@@ -270,30 +226,28 @@ def is_rank_one(Q, ratio=RANK_ONE_RATIO):
     return vals[0] > 0 and vals[1] <= ratio * vals[0]
 
 
+def _nondominated(r1, r2):
+    """Mask of the rate pairs (r1[k], r2[k]) not component-wise dominated
+    by a distinct pair; copies of a kept pair are all kept."""
+    order = np.lexsort((-r2, -r1))      # r1 descending, then r2 descending
+    s1, s2 = r1[order], r2[order]
+    first = np.ones(s1.size, dtype=bool)    # first pair of each r1 group
+    first[1:] = s1[1:] != s1[:-1]
+    group = np.cumsum(first) - 1
+    group_max = s2[first]
+    # max r2 among strictly larger r1
+    prev_max = np.concatenate(([-np.inf],
+                               np.maximum.accumulate(group_max)[:-1]))
+    keep = np.empty(s1.size, dtype=bool)
+    keep[order] = (s2 >= group_max[group]) & (s2 > prev_max[group])
+    return keep
+
+
 def pareto_filter(points):
     """Keep exactly the rate pairs not component-wise dominated by a
-    distinct point."""
-    pts = [tuple(map(float, p)) for p in points]
-    n = len(pts)
-    if n <= 1:
-        return list(pts)
-    order = sorted(range(n), key=lambda k: (-pts[k][0], -pts[k][1]))
-    keep = [False] * n
-    best_r2_prev = -np.inf     # max r2 among strictly larger r1
-    i = 0
-    while i < len(order):
-        j = i
-        r1 = pts[order[i]][0]
-        while j < len(order) and pts[order[j]][0] == r1:
-            j += 1
-        group = order[i:j]
-        group_max_r2 = pts[group[0]][1]
-        for k in group:
-            r2 = pts[k][1]
-            keep[k] = (r2 >= group_max_r2) and (r2 > best_r2_prev)
-        best_r2_prev = max(best_r2_prev, group_max_r2)
-        i = j
-    return [pts[k] for k in range(n) if keep[k]]
+    distinct point, in input order."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    return [tuple(map(float, p)) for p in pts[_nondominated(*pts.T)]]
 
 
 @dataclass
@@ -308,15 +262,15 @@ class ParetoPoint:
     epsilon2: float
 
 
-def pareto_boundary(ch, grid=(200, 200), tol=1e-10, cross_check=True):
+def pareto_boundary(ch, grid=(200, 200), tol=1e-10):
     """Sweep the received-power targets (z1, z2) over their feasible boxes,
     solve the decoupled problems, and return the dominance-filtered rate
-    pairs with their beamforming profiles.
+    pairs with their beamforming profiles, each distinct pair once, in
+    row-major grid order.
 
     Rates follow r_i = log2(1 + eta_ij z_i / (1 + beta eta_jj G_j(z_j)))
-    where G_j is the optimal self-interference cost of node j; with
-    cross_check the formula is verified against the direct MISO rate on the
-    constructed profiles.
+    where G_j is the optimal self-interference cost of node j; the formula
+    is verified against the direct MISO rate on the constructed profiles.
     """
     if ch.N != 1:
         raise ValueError("pareto_boundary requires N = 1")
@@ -339,27 +293,24 @@ def pareto_boundary(ch, grid=(200, 200), tol=1e-10, cross_check=True):
     r2 = np.log2(1.0 + ch.eta[(2, 1)] * zgrids[2][None, :] /
                  (1.0 + ch.beta * ch.eta[(1, 1)] * gam1[:, None]))
 
-    pairs = [(float(r1[a, b]), float(r2[a, b]))
-             for a in range(len(zgrids[1])) for b in range(len(zgrids[2]))]
-    surviving = set(map(tuple, pareto_filter(pairs)))
+    r1, r2 = r1.ravel(), r2.ravel()
+    kept = np.flatnonzero(_nondominated(r1, r2))
+    # kept pairs that share r1 are equal; emit the first copy only
+    _, first = np.unique(r1[kept], return_index=True)
     out = []
-    for a in range(len(zgrids[1])):
-        for b in range(len(zgrids[2])):
-            pair = (float(r1[a, b]), float(r2[a, b]))
-            if pair not in surviving:
-                continue
-            surviving.discard(pair)   # emit each surviving pair once
-            Q1, Q2 = sols[1][a].Q, sols[2][b].Q
-            if cross_check:
-                d1 = abs(miso_rate(ch, 1, (Q1, Q2)) - pair[0])
-                d2 = abs(miso_rate(ch, 2, (Q1, Q2)) - pair[1])
-                if max(d1, d2) > 1e-8 * max(1.0, pair[0], pair[1]):
-                    raise ArithmeticError(
-                        "boundary rate formula disagrees with miso_rate")
-            out.append(ParetoPoint(
-                z1=float(zgrids[1][a]), z2=float(zgrids[2][b]),
-                Q1=Q1, Q2=Q2, r1=pair[0], r2=pair[1],
-                epsilon1=sols[1][a].epsilon, epsilon2=sols[2][b].epsilon))
+    for k in np.sort(kept[first]):
+        a, b = divmod(int(k), len(zgrids[2]))
+        pair = (float(r1[k]), float(r2[k]))
+        Q1, Q2 = sols[1][a].Q, sols[2][b].Q
+        d1 = abs(miso_rate(ch, 1, (Q1, Q2)) - pair[0])
+        d2 = abs(miso_rate(ch, 2, (Q1, Q2)) - pair[1])
+        if max(d1, d2) > 1e-8 * max(1.0, pair[0], pair[1]):
+            raise ArithmeticError(
+                "boundary rate formula disagrees with miso_rate")
+        out.append(ParetoPoint(
+            z1=float(zgrids[1][a]), z2=float(zgrids[2][b]),
+            Q1=Q1, Q2=Q2, r1=pair[0], r2=pair[1],
+            epsilon1=sols[1][a].epsilon, epsilon2=sols[2][b].epsilon))
     return out
 
 
@@ -386,16 +337,7 @@ def export_boundary_csv(points, path_or_file):
 
     Accepts a file path or any writable text object.
     """
-    if hasattr(path_or_file, "write"):
-        _write_boundary_rows(points, path_or_file)
-        return
-    with open(path_or_file, "w", encoding="utf-8", newline="") as f:
-        _write_boundary_rows(points, f)
-
-
-def _write_boundary_rows(points, f):
-    w = csv.writer(f)
-    w.writerow(["z1", "z2", "r1_bits", "r2_bits", "epsilon1", "epsilon2"])
-    for p in points:
-        w.writerow([repr(p.z1), repr(p.z2), repr(p.r1), repr(p.r2),
-                    repr(p.epsilon1), repr(p.epsilon2)])
+    _write_csv(path_or_file,
+               ["z1", "z2", "r1_bits", "r2_bits", "epsilon1", "epsilon2"],
+               ([repr(p.z1), repr(p.z2), repr(p.r1), repr(p.r2),
+                 repr(p.epsilon1), repr(p.epsilon2)] for p in points))

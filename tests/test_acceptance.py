@@ -45,15 +45,23 @@ def _polish(h_dir, h_self, z, P, w0):
     def split(x):
         return x[:M] + 1j * x[M:]
 
+    def received_grad(x):
+        sh = np.vdot(h_dir, split(x)) * h_dir
+        return 2.0 * np.concatenate([sh.real, sh.imag])
+
+    cc = np.concatenate([c, c])
     res = minimize(
         lambda x: float((c * np.abs(split(x)) ** 2).sum()),
         np.concatenate([w0.real, w0.imag]),
+        jac=lambda x: 2.0 * cc * x,
         method="SLSQP",
         constraints=[
             {"type": "eq",
-             "fun": lambda x: float(np.abs(np.vdot(h_dir, split(x))) ** 2) - z},
+             "fun": lambda x: float(np.abs(np.vdot(h_dir, split(x))) ** 2) - z,
+             "jac": received_grad},
             {"type": "ineq",
-             "fun": lambda x: P - float(np.linalg.norm(split(x)) ** 2)}],
+             "fun": lambda x: P - float(np.linalg.norm(split(x)) ** 2),
+             "jac": lambda x: -2.0 * x}],
         options={"maxiter": 200, "ftol": 1e-14})
     w = split(res.x)
     ok = (abs(np.abs(np.vdot(h_dir, w)) ** 2 - z) < 1e-8 * max(z, 1.0)

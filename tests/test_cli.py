@@ -128,3 +128,31 @@ class TestDispatch:
 
     def test_experiment_missing_section_exits_2(self, channel_config):
         assert main(["experiment", "--config", str(channel_config)]) == 2
+
+
+def _without_eta(channel_config):
+    cfg = json.loads(channel_config.read_text())
+    del cfg["channel"]["eta_db"]
+    return cfg
+
+
+def _ber(**params):
+    return {"experiment": {"name": "ber", "params": dict(
+        {"snr_db_sweep": [0.0], "bits_per_point": 100}, **params)}}
+
+
+@pytest.mark.parametrize("command, make_config", [
+    ("pareto", _without_eta),
+    ("uniqueness", _without_eta),
+    ("experiment", lambda _: _ber(snr_db_sweep=5)),
+    ("experiment", lambda _: _ber(bits_per_point=-4)),
+], ids=["pareto-no-eta", "uniqueness-no-eta", "scalar-sweep",
+        "negative-bits"])
+def test_malformed_config_exits_2(command, make_config, channel_config,
+                                  tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(make_config(channel_config)))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from fdtwoway.channel import (check_covariance, miso_rate, other,
-                              sample_channel)
+from fdtwoway.channel import (FdChannelModel, check_covariance, miso_rate,
+                              other, sample_channel)
 from fdtwoway.pareto import (DecoupledProblem, dual_certificate,
                              epsilon_zero_condition, export_boundary_csv,
                              is_rank_one, optimal_beamforming,
@@ -204,32 +204,39 @@ class TestDualCertificate:
 
 
 class TestRankReduce:
-    def optimal_rank2_mixture(self, rng, t=0.3):
-        """Problem with a cost-free antenna invisible to the direct channel,
-        so adding that direction to the optimum keeps it optimal."""
+    def optimal_rank2_mixture(self, rng,
+                              masses=lambda slack: [min(0.3, 0.9 * slack)]):
+        """Problem with cost-free antennas invisible to the direct channel,
+        so adding those directions to the optimum keeps it optimal.
+
+        masses maps the power slack of the optimum to the power added on
+        each free antenna (one antenna by default)."""
+        n_free = len(masses(1.0))
         h_dir = np.array(list(rng.normal(size=2) + 1j * rng.normal(size=2))
-                         + [0.0])
+                         + [0.0] * n_free)
         h_self = np.array(list(rng.normal(size=2) + 1j * rng.normal(size=2))
-                          + [0.0])
+                          + [0.0] * n_free)
         z = 0.15 * float(np.linalg.norm(h_dir) ** 2)
         prob = DecoupledProblem(h_dir=h_dir, h_self=h_self, z=z, P=1.0)
         sol = optimal_beamforming(prob)
         slack = prob.P - float(np.trace(sol.Q).real)
         if slack < 0.05:
             return None
-        Q_mix = sol.Q + min(t, 0.9 * slack) * np.diag([0.0, 0.0, 1.0])
+        Q_mix = sol.Q + np.diag([0.0, 0.0] + list(masses(slack)))
         return prob, sol, Q_mix
 
-    def test_reduces_constructed_mixture(self):
-        rng = np.random.default_rng(7)
+    def check_reductions(self, rng, **mixture):
         done = 0
         for _ in range(60):
-            made = self.optimal_rank2_mixture(rng)
+            made = self.optimal_rank2_mixture(rng, **mixture)
             if made is None:
                 continue
             prob, sol, Q_mix = made
             done += 1
             assert not is_rank_one(Q_mix)
+            # one cost-free antenna per added direction: rank M - 1
+            assert np.linalg.matrix_rank(Q_mix, hermitian=True) \
+                == prob.h_dir.size - 1
             Q_red = rank_reduce(Q_mix, prob)
             assert is_rank_one(Q_red)
             obj = float(np.trace(prob.C @ Q_red).real)
@@ -238,7 +245,17 @@ class TestRankReduce:
             # constraints preserved
             assert float(np.trace(prob.A @ Q_red).real) == pytest.approx(
                 prob.z, abs=1e-8)
+            assert np.trace(Q_red).real <= np.trace(Q_mix).real * (1 + 1e-12)
         assert done >= 20
+
+    def test_reduces_constructed_mixture(self):
+        self.check_reductions(np.random.default_rng(7))
+
+    def test_reduces_rank3_mixture(self):
+        # M = 4, two cost-free antennas at unequal powers
+        self.check_reductions(
+            np.random.default_rng(9),
+            masses=lambda slack: [0.3 * slack, 0.6 * slack])
 
     def test_rank_one_input_is_fixed_point(self):
         rng = np.random.default_rng(8)
@@ -310,6 +327,17 @@ class TestParetoBoundary:
         h12 = ch.h(1, 2)
         w = np.sqrt(ch.P[1]) * h12 / np.linalg.norm(h12)
         assert np.allclose(corner.Q1, np.outer(w, w.conj()), atol=1e-12)
+
+    def test_identical_pairs_emitted_once(self):
+        # zero direct channels: every grid point has rates (0, 0)
+        ch = make_miso_channel(seed=17)
+        H = dict(ch.H)
+        H[(1, 2)] = np.zeros_like(H[(1, 2)])
+        H[(2, 1)] = np.zeros_like(H[(2, 1)])
+        ch = FdChannelModel(H=H, eta=ch.eta, beta=ch.beta, P=ch.P)
+        pts = pareto_boundary(ch, grid=(7, 5))
+        assert [(p.r1, p.r2) for p in pts] == [(0.0, 0.0)]
+        assert len(pareto_filter([(0.0, 0.0)] * 35)) == 35
 
     def test_rejects_mimo(self):
         rng = np.random.default_rng(13)
