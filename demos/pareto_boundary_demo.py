@@ -7,7 +7,8 @@ and the zero-forcing corner.
 
 import numpy as np
 
-from fdtwoway.channel import db_to_linear, miso_rate, sample_channel, tdma_sum_rate
+from fdtwoway.channel import (achievable_rate, db_to_linear, sample_channel,
+                              tdma_sum_rate)
 from fdtwoway.pareto import pareto_boundary, zf_beamforming
 
 rng = np.random.default_rng(0)
@@ -37,8 +38,8 @@ print(f"TDMA sum rate                : {tdma_sum_rate(ch):.4f} bit")
 
 w1, w2 = zf_beamforming(ch, 1), zf_beamforming(ch, 2)
 Q1, Q2 = np.outer(w1, w1.conj()), np.outer(w2, w2.conj())
-r1 = miso_rate(ch, 1, (Q1, Q2))
-r2 = miso_rate(ch, 2, (Q1, Q2))
+r1 = achievable_rate(ch, 1, (Q1, Q2))
+r2 = achievable_rate(ch, 2, (Q1, Q2))
 print(f"zero-forcing rates           : ({r1:.4f}, {r2:.4f}) bit")
 print("ZF kills self-interference entirely but gives up direct-link gain,")
 print("so it sits strictly inside the boundary.")

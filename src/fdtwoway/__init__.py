@@ -7,8 +7,8 @@ __version__ = "1.0.0"
 
 from .channel import (FdChannelModel, achievable_rate, db_to_linear,
                       interference_covariance, linear_to_db, load_channel,
-                      miso_rate, one_way_capacity, sample_channel,
-                      save_channel, simulate_frame, tdma_sum_rate)
+                      one_way_capacity, sample_channel, save_channel,
+                      simulate_frame, tdma_sum_rate)
 from .nash import (IwfaConfig, IwfaTrace, UniquenessReport, best_response,
                    circulant_uniqueness_probability, contraction_check,
                    counterexample_channel, counterexample_probe_pairs, iwfa,
@@ -21,7 +21,7 @@ from .pareto import (DecoupledProblem, DecoupledSolution, ParetoPoint,
 __all__ = [
     "__version__",
     "FdChannelModel", "achievable_rate", "db_to_linear",
-    "interference_covariance", "linear_to_db", "load_channel", "miso_rate",
+    "interference_covariance", "linear_to_db", "load_channel",
     "one_way_capacity", "sample_channel", "save_channel", "simulate_frame",
     "tdma_sum_rate",
     "IwfaConfig", "IwfaTrace", "UniquenessReport", "best_response",

@@ -87,11 +87,37 @@ def check_covariance(Q, power_budget):
     return Q
 
 
-def check_profile(ch, profile):
-    Q1, Q2 = profile
-    check_covariance(Q1, ch.P[1])
-    check_covariance(Q2, ch.P[2])
-    return np.asarray(Q1, dtype=complex), np.asarray(Q2, dtype=complex)
+def _herm(A):
+    return A.conj().swapaxes(-1, -2)
+
+
+def _powers(Q):
+    """Transmit powers diag(Q) of each strategy of a stack."""
+    return Q.diagonal(axis1=-2, axis2=-1).real
+
+
+def _strategies(ch, Qs):
+    """The strategies Qs as one complex array whose last two axes are
+    M x M."""
+    Q = np.array(Qs, dtype=complex)
+    if Q.shape[-2:] != (ch.M, ch.M):
+        raise ValueError(f"Q has shape {Q.shape}, expected (..., {ch.M}, "
+                         f"{ch.M})")
+    return Q
+
+
+def _node_constants(ch, nodes):
+    """Constants of the links i -> j = other(i) for i in `nodes`, each
+    stacked on a leading axis: (H_ij, eta_ij H_ij^H, H_jj, H_jj^H,
+    beta eta_jj, P_i)."""
+    links = [(i, other(i)) for i in nodes]
+    H_dir = np.array([ch.H[link] for link in links])
+    H_self = np.array([ch.H[(j, j)] for _, j in links])
+    eta_dir = np.array([ch.eta[link] for link in links])
+    c_self = np.array([ch.beta * ch.eta[(j, j)] for _, j in links])
+    return (H_dir, eta_dir[:, None, None] * _herm(H_dir), H_self,
+            _herm(H_self), c_self[:, None, None],
+            np.array([float(ch.P[i]) for i in nodes]))
 
 
 def _noise_covariance(c, H, H_h, d):
@@ -103,43 +129,43 @@ def _noise_covariance(c, H, H_h, d):
     return S
 
 
+def _effective_channel(nodes, d):
+    """W = eta_ij H_ij^H Sigma_j^-1 H_ij of the links of
+    _node_constants(ch, nodes) against the receivers' transmit powers d
+    (..., links, M); leading axes of d are a batch of profiles."""
+    H_dir, eta_H_dir_h, H_self, H_self_h, c_self, _ = nodes
+    return eta_H_dir_h @ np.linalg.solve(
+        _noise_covariance(c_self, H_self, H_self_h, d), H_dir)
+
+
+def _log2det(W, Q):
+    """max(log2 det(I + W Q), 0) over the leading batch axes."""
+    _, logdet = np.linalg.slogdet(np.eye(W.shape[-1]) + W @ Q)
+    return np.maximum(logdet / np.log(2.0), 0.0)
+
+
 def interference_covariance(ch, i, Q_i):
     """Covariance Sigma_i = I + beta eta_ii H_ii diag(Q_i) H_ii^H of the
     noise-plus-residual-self-interference seen at receiver i."""
-    Q_i = np.asarray(Q_i, dtype=complex)
-    if Q_i.shape != (ch.M, ch.M):
-        raise ValueError(f"Q has shape {Q_i.shape}, expected ({ch.M},{ch.M})")
+    Q_i = _strategies(ch, Q_i)
     Hii = ch.H[(i, i)]
     return _noise_covariance(ch.beta * ch.eta[(i, i)], Hii, Hii.conj().T,
-                             np.diagonal(Q_i).real)
+                             _powers(Q_i))
 
 
 def achievable_rate(ch, i, profile):
     """Rate of the transmission from node i to node j (bits/channel use):
-    log2 det(I + eta_ij H_ij^H Sigma_j^-1 H_ij Q_i)."""
-    Q = {1: profile[0], 2: profile[1]}
-    j = other(i)
-    Sigma_j = interference_covariance(ch, j, Q[j])
-    Hij = ch.H[(i, j)]
-    W = ch.eta[(i, j)] * Hij.conj().T @ np.linalg.solve(Sigma_j, Hij)
-    sign, logdet = np.linalg.slogdet(np.eye(ch.M) + W @ Q[i])
-    return max(float(logdet / np.log(2.0)), 0.0)
+    log2 det(I + eta_ij H_ij^H Sigma_j^-1 H_ij Q_i).
 
-
-def miso_rate(ch, i, profile):
-    """Single-receive-antenna rate
-    log2(1 + eta_ij |h_ij|_Q / (1 + beta eta_jj h_jj^H diag(Q_j) h_jj))."""
-    if ch.N != 1:
-        raise ValueError("miso_rate requires N = 1")
-    Q = {1: np.asarray(profile[0], dtype=complex),
-         2: np.asarray(profile[1], dtype=complex)}
-    j = other(i)
-    h_ij = ch.h(i, j)
-    h_jj = ch.h(j, j)
-    signal = ch.eta[(i, j)] * float((h_ij.conj() @ Q[i] @ h_ij).real)
-    self_noise = ch.beta * ch.eta[(j, j)] * float(
-        (h_jj.conj() * np.diag(Q[j]).real * h_jj).sum().real)
-    return float(np.log2(1.0 + signal / (1.0 + self_noise)))
+    profile is (Q1, Q2), each an M x M strategy or a stack (..., M, M) of
+    them; returns a float for one profile and an array over the stack
+    otherwise.
+    """
+    Q = _strategies(ch, profile)
+    d = _powers(Q[other(i) - 1])[..., None, :]      # a stack of one link
+    W = _effective_channel(_node_constants(ch, (i,)), d)[..., 0, :, :]
+    rate = _log2det(W, Q[i - 1])
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def sample_channel(M, N, eta, beta, P, rng, symmetric=False):
@@ -171,15 +197,6 @@ def tdma_sum_rate(ch):
     """Half-duplex TDMA baseline: equal time split, full per-slot power,
     no self-interference."""
     return 0.5 * one_way_capacity(ch, 1) + 0.5 * one_way_capacity(ch, 2)
-
-
-def region_sample(ch, profiles):
-    """Rate pairs (R1, R2) for each strategy profile, order preserved."""
-    out = []
-    for prof in profiles:
-        check_profile(ch, prof)
-        out.append((achievable_rate(ch, 1, prof), achievable_rate(ch, 2, prof)))
-    return out
 
 
 def simulate_frame(ch, profile, s1, s2, rng):

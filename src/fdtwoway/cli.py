@@ -127,11 +127,12 @@ def _load_channel_section(config):
 
 def _run_pareto(inv):
     ch = _load_channel_section(inv.config)
-    opts = inv.config.get("pareto", {})
-    grid = opts.get("grid", 200)
-    if isinstance(grid, int):
-        grid = (grid, grid)
-    points = pareto_boundary(ch, grid=tuple(grid))
+    grid = inv.config.get("pareto", {}).get("grid", 200)
+    pair = [grid, grid] if not isinstance(grid, list) else grid
+    if len(pair) != 2 or not all(type(g) is int and g >= 1 for g in pair):
+        raise UsageError("pareto.grid must be a positive integer or a pair "
+                         f"of them, got {grid!r}")
+    points = pareto_boundary(ch, grid=tuple(pair))
     buf = io.StringIO()
     export_boundary_csv(points, buf)
     _emit(buf.getvalue(), inv.output)
@@ -142,11 +143,14 @@ def _run_pareto(inv):
 def _run_ne(inv):
     ch = _load_channel_section(inv.config)
     opts = inv.config.get("ne", {})
-    cfg = IwfaConfig(delta=opts.get("delta", 1e-8),
-                     max_iter=opts.get("max_iter", 500),
-                     mode=opts.get("mode", "synchronous"),
-                     miss_probability=opts.get("miss_probability", 0.0),
-                     rng_seed=inv.seed)
+    try:
+        cfg = IwfaConfig(delta=opts.get("delta", 1e-8),
+                         max_iter=opts.get("max_iter", 500),
+                         mode=opts.get("mode", "synchronous"),
+                         miss_probability=opts.get("miss_probability", 0.0),
+                         rng_seed=inv.seed)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"malformed 'ne' section: {e}")
     zero = (np.zeros((ch.M, ch.M)), np.zeros((ch.M, ch.M)))
     trace = iwfa(ch, zero, cfg)
     report = uniqueness_condition(ch)

