@@ -159,6 +159,7 @@ def _run_ne(inv):
     payload = {"uniqueness": _jsonable(report),
                "converged": trace.converged,
                "iterations": trace.iterations,
+               "cycle": trace.cycle,
                "final_profile": {"Q1": _jsonable(trace.final[0]),
                                  "Q2": _jsonable(trace.final[1])}}
     if inv.output is None:
@@ -169,7 +170,8 @@ def _run_ne(inv):
         with open(inv.output + ".report.json", "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=1)
     print(f"ne: converged={trace.converged} after {trace.iterations} "
-          f"iterations; uniqueness holds={report.holds}", file=sys.stderr)
+          f"iterations; cycle={trace.cycle}; uniqueness holds={report.holds}",
+          file=sys.stderr)
     if inv.require_convergence and not trace.converged:
         print("ne: convergence required but not reached", file=sys.stderr)
         return 1

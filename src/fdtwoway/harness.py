@@ -47,11 +47,36 @@ _DEFAULTS = {
 _MIN_COUNTS = {"trials": 1, "bits_per_point": 2}
 
 
+def _check_count(key, value, least):
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ValueError(f"param {key!r} must be an integer >= {least}, "
+                         f"got {value!r}")
+
+
+def _iwfa_config(name, params):
+    """The IwfaConfig an IWFA experiment runs with (None for the others);
+    IwfaConfig itself validates delta and max_iter."""
+    if name == "ne_vs_tdma":
+        max_iter = params["max_iter"]
+    elif name == "iwfa_convergence":
+        budgets = params["step_budgets"]
+        if not budgets:
+            raise ValueError("param 'step_budgets' must not be empty")
+        for budget in budgets:
+            _check_count("step_budgets", budget, 1)
+        max_iter = max(budgets)
+    else:
+        return None
+    return IwfaConfig(delta=params["delta"], max_iter=max_iter)
+
+
 @dataclass
 class ExperimentSpec:
     name: str
     params: dict
     rng_seed: int = 0
+    iwfa_cfg: IwfaConfig = field(init=False, default=None)
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
@@ -69,12 +94,8 @@ class ExperimentSpec:
                 raise ValueError(f"param {key!r} must be a list, "
                                  f"got {value!r}")
         for key, least in _MIN_COUNTS.items():
-            value = merged.get(key, least)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))
-                    or value < least):
-                raise ValueError(f"param {key!r} must be an integer >= "
-                                 f"{least}, got {value!r}")
+            _check_count(key, merged.get(key, least), least)
+        self.iwfa_cfg = _iwfa_config(self.name, merged)
         self.params = merged
 
 
@@ -208,8 +229,7 @@ def run_ne_vs_tdma(spec):
     beta = _beta_linear(p["beta_db"])
     M, N, P = p["M"], p["N"], p["P"]
     trials = int(p["trials"])
-    cfg = IwfaConfig(delta=p["delta"], max_iter=p["max_iter"])
-    rows = []
+    rows, cyclic = [], []
     crossovers = {}
     for di, eta_d_db in enumerate(p["eta_direct_db_list"]):
         eta_d = float(db_to_linear(eta_d_db))
@@ -217,7 +237,7 @@ def run_ne_vs_tdma(spec):
         for si, eta_s_db in enumerate(p["eta_self_db_sweep"]):
             eta_s = float(db_to_linear(eta_s_db))
             ne_rates, tdma_rates = [], []
-            excluded = 0
+            excluded = excluded_cyclic = 0
             for t in range(trials):
                 rng = _stream(spec, 1, di, si, t)
                 ch = sample_channel(M, N,
@@ -227,9 +247,10 @@ def run_ne_vs_tdma(spec):
                 H = {k: v / np.sqrt(M) for k, v in ch.H.items()}
                 ch = FdChannelModel(H=H, eta=ch.eta, beta=ch.beta, P=ch.P)
                 init = (np.zeros((M, M)), np.zeros((M, M)))
-                tr = iwfa(ch, init, cfg)
+                tr = iwfa(ch, init, spec.iwfa_cfg)
                 if not tr.converged:
                     excluded += 1
+                    excluded_cyclic += tr.cycle is not None
                     continue
                 prof = tr.final
                 ne_rates.append(achievable_rate(ch, 1, prof)
@@ -243,10 +264,13 @@ def run_ne_vs_tdma(spec):
                      if len(tdma_rates) > 1 else float("nan"))
             rows.append([float(eta_d_db), float(eta_s_db), ne_mean, ne_se,
                          td_mean, td_se, excluded])
+            cyclic.append(excluded_cyclic)
             gaps.append((float(eta_s_db), ne_mean - td_mean))
         crossovers[float(eta_d_db)] = _crossover(gaps)
     meta = _metadata(spec)
     meta["crossover_eta_self_db"] = crossovers
+    # per CSV row: excluded trials whose IWFA run revisited a profile
+    meta["excluded_cyclic"] = cyclic
     return ExperimentResult(
         columns=["eta_direct_db", "eta_self_db", "ne_sum_rate",
                  "ne_stderr", "tdma_sum_rate", "tdma_stderr", "excluded"],
@@ -309,8 +333,7 @@ def run_iwfa_convergence(spec):
     beta = _beta_linear(p["beta_db"])
     M, N, P = p["M"], p["N"], p["P"]
     trials = int(p["trials"])
-    budgets = sorted(int(x) for x in p["step_budgets"])
-    max_budget = budgets[-1]
+    budgets = sorted(p["step_budgets"])
     rows = []
     for gi, gamma_db in enumerate(p["gamma_db_list"]):
         gamma = float(db_to_linear(gamma_db))
@@ -323,7 +346,7 @@ def run_iwfa_convergence(spec):
                                        (1, 2): eta_d, (2, 1): eta_d},
                                 beta, {1: P, 2: P}, rng, symmetric=True)
             tr = iwfa(ch, (np.zeros((M, M)), np.zeros((M, M))),
-                      IwfaConfig(delta=p["delta"], max_iter=max_budget))
+                      spec.iwfa_cfg)
             if tr.converged:
                 steps[t] = tr.iterations
         for X in budgets:

@@ -3,6 +3,7 @@ water-filling (sync and async), Nash-equilibrium uniqueness conditions
 and contraction diagnostics.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +84,10 @@ class IwfaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if (not isinstance(self.max_iter, (int, np.integer))
+        if not (isinstance(self.delta, numbers.Real) and self.delta > 0):
+            raise ValueError(f"delta must be positive, got {self.delta!r}")
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, (int, np.integer))
                 or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got "
                              f"{self.max_iter!r}")
@@ -102,6 +104,9 @@ class IwfaTrace:
     converged: bool
     iterations: int
     schedule: list = field(default_factory=list)
+    # (start, period) when a synchronous run revisited iterate `start`
+    # bit for bit at step start + period; None otherwise
+    cycle: tuple = None
 
     @property
     def final(self):
@@ -123,6 +128,13 @@ def iwfa(ch, init, cfg=None):
     schedule), keeping the stale strategy on a miss, and stops on the
     successive-iterate distance of an iteration where both nodes updated
     (a missed update contributes zero movement and must not end the run).
+
+    The synchronous mapping depends on Q alone, so once an iterate repeats
+    an earlier one bit for bit the run cycles without converging (every
+    residual of the cycle was already at least delta). The run stops there
+    and fills the rest of the trace, up to max_iter, from the cycle (the
+    filled-in iterates are the cycle's own arrays); the trace equals the
+    one the full run would give, with `cycle` set.
     """
     cfg = cfg or IwfaConfig()
     nodes = _node_constants(ch, (1, 2))
@@ -131,8 +143,9 @@ def iwfa(ch, init, cfg=None):
     Q = _strategies(ch, init)
     iterates = [(Q[0], Q[1])]
     residuals, schedule = [], []
+    seen = {Q.tobytes(): 0} if rng is None else None
     flags = (True, True)
-    converged = False
+    converged, cycle = False, None
     for _ in range(cfg.max_iter):
         new = _best_responses(nodes, _powers(Q)[::-1])[0]
         if rng is not None:
@@ -148,9 +161,21 @@ def iwfa(ch, init, cfg=None):
         if residual < cfg.delta and all(flags):
             converged = True
             break
+        if seen is not None:
+            step = len(residuals)
+            start = seen.setdefault(Q.tobytes(), step)
+            if start < step:
+                cycle = (start, step - start)
+                break
+    if cycle is not None:
+        period = cycle[1]
+        for t in range(len(iterates), cfg.max_iter + 1):
+            iterates.append(iterates[t - period])
+            residuals.append(residuals[t - 1 - period])
+            schedule.append(flags)
     return IwfaTrace(iterates=iterates, residuals=residuals,
                      converged=converged, iterations=len(residuals),
-                     schedule=schedule)
+                     schedule=schedule, cycle=cycle)
 
 
 @dataclass

@@ -141,6 +141,18 @@ def _ber(**params):
         {"snr_db_sweep": [0.0], "bits_per_point": 100}, **params)}}
 
 
+def _ne_vs_tdma(**params):
+    return {"experiment": {"name": "ne_vs_tdma", "params": dict(
+        {"eta_direct_db_list": [0.0], "eta_self_db_sweep": [60.0],
+         "trials": 2}, **params)}}
+
+
+def _iwfa_convergence(**params):
+    return {"experiment": {"name": "iwfa_convergence", "params": dict(
+        {"gamma_db_list": [-60.0], "step_budgets": [5, 10], "trials": 2},
+        **params)}}
+
+
 def _with_ne(channel_config):
     cfg = json.loads(channel_config.read_text())
     cfg["ne"] = {"delta": 1e-8, "max_iter": 500, "mode": "synchronous"}
@@ -162,9 +174,22 @@ def _as_is(channel_config):
     ("ne", _with_ne, ["ne.delta=-1"]),
     ("ne", _with_ne, ['ne.mode="foo"']),
     ("ne", _with_ne, ["ne.max_iter=2.5"]),
+    ("experiment", lambda _: _ne_vs_tdma(max_iter=2.5), []),
+    ("experiment", lambda _: _ne_vs_tdma(delta=-1e-8), []),
+    ("experiment", lambda _: _ne_vs_tdma(delta="small"), []),
+    ("experiment", lambda _: _iwfa_convergence(delta=-1e-8), []),
+    ("experiment", lambda _: _iwfa_convergence(step_budgets=[5, 2.5]), []),
+    ("experiment", lambda _: _iwfa_convergence(step_budgets=[0, 10]), []),
+    ("experiment", lambda _: _iwfa_convergence(step_budgets=[]), []),
+    ("ne", _with_ne, ["ne.delta=NaN"]),
+    ("experiment", lambda _: _ne_vs_tdma(max_iter=True), []),
 ], ids=["pareto-no-eta", "uniqueness-no-eta", "scalar-sweep",
         "negative-bits", "negative-grid", "string-grid", "zero-grid-pair",
-        "negative-delta", "unknown-mode", "fractional-max-iter"])
+        "negative-delta", "unknown-mode", "fractional-max-iter",
+        "experiment-fractional-max-iter", "experiment-negative-delta",
+        "experiment-string-delta", "convergence-negative-delta",
+        "fractional-step-budget", "zero-step-budget", "empty-step-budgets",
+        "nan-delta", "boolean-max-iter"])
 def test_malformed_config_exits_2(command, make_config, overrides,
                                   channel_config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"

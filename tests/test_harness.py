@@ -24,6 +24,19 @@ class TestExperimentSpec:
         assert spec.params["M"] == 3
         assert spec.params["P"] == 1.0
 
+    def test_iwfa_config_built_from_params(self):
+        spec = ExperimentSpec("iwfa_convergence",
+                              {"gamma_db_list": [-60.0],
+                               "step_budgets": [50, 25], "trials": 2,
+                               "delta": 1e-6})
+        assert (spec.iwfa_cfg.max_iter, spec.iwfa_cfg.delta) == (50, 1e-6)
+        assert ExperimentSpec("ber", {"snr_db_sweep": [0.0],
+                                      "bits_per_point": 4}).iwfa_cfg is None
+        with pytest.raises(ValueError, match="max_iter"):
+            ExperimentSpec("ne_vs_tdma", {"eta_direct_db_list": [0.0],
+                                          "eta_self_db_sweep": [60.0],
+                                          "trials": 2, "max_iter": 2.5})
+
 
 class TestDeterminism:
     def test_byte_identical_csv(self, tmp_path):
@@ -104,6 +117,17 @@ class TestNeVsTdma:
         low, high = res.rows
         assert low[2] > high[2]   # NE sum rate decreases with eta_self
         assert "crossover_eta_self_db" in res.metadata
+
+    def test_excluded_cyclic_per_row(self):
+        # seed 3 excludes a trial that runs its whole budget at 70 dB and
+        # one of each kind at 76 dB
+        spec = ExperimentSpec("ne_vs_tdma",
+                              {"eta_direct_db_list": [0.0],
+                               "eta_self_db_sweep": [70.0, 76.0],
+                               "trials": 10}, rng_seed=3)
+        res = run_ne_vs_tdma(spec)
+        assert [row[-1] for row in res.rows] == [1, 2]
+        assert res.metadata["excluded_cyclic"] == [0, 1]
 
     def test_crossover_interpolation(self):
         gaps = [(60.0, 1.0), (62.0, -1.0)]

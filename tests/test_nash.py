@@ -330,25 +330,52 @@ class TestKernelEquivalence:
         assert tr.iterations == ref_iterations
         for k in (0, 1):
             assert np.max(np.abs(tr.final[k] - ref[k])) <= 1e-9
-        return tr.converged
+        return tr
+
+    @staticmethod
+    def _check_cycle_fill(ch, tr, cfg):
+        """The steps filled in from a cycle are the ones the mapping gives,
+        bit for bit."""
+        start, period = tr.cycle
+        assert period >= 2 and not tr.converged
+        assert tr.iterations == cfg.max_iter == len(tr.residuals)
+        assert len(tr.iterates) == cfg.max_iter + 1
+        assert tr.schedule == [(True, True)] * cfg.max_iter
+        stacked = [np.stack(Q) for Q in tr.iterates]
+        assert np.array_equal(stacked[start], stacked[start + period])
+        for t in range(start + period, cfg.max_iter):
+            assert np.array_equal(np.stack(phi_mapping(ch, tr.iterates[t])),
+                                  stacked[t + 1])
+            step = stacked[t + 1] - stacked[t]
+            assert tr.residuals[t] == float(np.sqrt(np.vdot(step, step).real))
+            assert tr.residuals[t] >= cfg.delta
 
     def test_sync_matches_reference_on_220_channels(self):
         cfg = IwfaConfig(delta=1e-8, max_iter=500)
-        outcomes = []
+        outcomes, cycles = [], []
         for t in range(220):
             eta_self_db = 40.0 + 2.0 * (t % 21)
             eta_direct_db = (0.0, 10.0)[(t // 21) % 2]
             ch = ne_vs_tdma_channel([1234, t], eta_direct_db, eta_self_db)
-            outcomes.append(self._compare(ch, cfg))
+            tr = self._compare(ch, cfg)
+            outcomes.append(tr.converged)
+            if tr.cycle is not None:
+                self._check_cycle_fill(ch, tr, cfg)
+            elif not tr.converged:
+                assert tr.iterations == cfg.max_iter
+            if not tr.converged:
+                cycles.append(tr.cycle is not None)
         # both branches of the loop exit are exercised
         assert any(outcomes) and not all(outcomes)
+        # and both ways of not converging: a revisit, and the full budget
+        assert any(cycles) and not all(cycles)
 
     def test_async_matches_reference(self):
         for t in range(12):
             ch = ne_vs_tdma_channel([4321, t], 0.0, 40.0 + 3.0 * t)
             cfg = IwfaConfig(delta=1e-8, max_iter=300, mode="asynchronous",
                              miss_probability=0.3, rng_seed=t)
-            self._compare(ch, cfg)
+            assert self._compare(ch, cfg).cycle is None
 
     def test_best_response_matches_reference(self):
         rng = np.random.default_rng(21)
