@@ -13,9 +13,6 @@ import numpy as np
 
 from .linalg import sample_complex_gaussian, water_fill
 
-PSD_TOL = 1e-8
-TRACE_TOL = 1e-8
-
 
 def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
@@ -73,18 +70,6 @@ class FdChannelModel:
 
 def other(i):
     return 2 if i == 1 else 1
-
-
-def check_covariance(Q, power_budget):
-    """Validate numerical PSD-ness and the trace budget of a strategy Q."""
-    Q = np.asarray(Q, dtype=complex)
-    tr = float(np.trace(Q).real)
-    min_eig = float(np.min(np.linalg.eigvalsh((Q + Q.conj().T) / 2)))
-    if min_eig < -PSD_TOL * max(tr, 1.0):
-        raise ValueError(f"Q is not PSD (min eigenvalue {min_eig:.3e})")
-    if tr > power_budget * (1 + TRACE_TOL):
-        raise ValueError(f"trace(Q) = {tr:.6g} exceeds budget {power_budget}")
-    return Q
 
 
 def _herm(A):
@@ -185,18 +170,25 @@ def sample_channel(M, N, eta, beta, P, rng, symmetric=False):
 def one_way_capacity(ch, i):
     """Half-duplex capacity of the i -> j link against thermal noise only:
     max over trace(Q) <= P_i of log2 det(I + eta_ij H_ij Q H_ij^H)."""
-    j = other(i)
-    Hij = ch.H[(i, j)]
-    G = ch.eta[(i, j)] * (Hij.conj().T @ Hij)
-    gains = np.linalg.eigvalsh((G + G.conj().T) / 2)
-    powers, _ = water_fill(gains, ch.P[i])
-    return float(np.log2(1.0 + gains * powers).sum())
+    return float(_one_way_capacities(ch, (i,))[0])
+
+
+def _one_way_capacities(ch, nodes):
+    """one_way_capacity of the links i -> other(i), i in `nodes`, stacked."""
+    links = [(i, other(i)) for i in nodes]
+    H = np.array([ch.H[link] for link in links])
+    eta = np.array([ch.eta[link] for link in links])
+    G = eta[:, None, None] * (_herm(H) @ H)
+    gains = np.linalg.eigvalsh((G + _herm(G)) / 2)
+    powers, _ = water_fill(gains, [float(ch.P[i]) for i in nodes])
+    return np.log2(1.0 + gains * powers).sum(axis=-1)
 
 
 def tdma_sum_rate(ch):
     """Half-duplex TDMA baseline: equal time split, full per-slot power,
     no self-interference."""
-    return 0.5 * one_way_capacity(ch, 1) + 0.5 * one_way_capacity(ch, 2)
+    c1, c2 = _one_way_capacities(ch, (1, 2))
+    return float(0.5 * c1 + 0.5 * c2)
 
 
 def simulate_frame(ch, profile, s1, s2, rng):

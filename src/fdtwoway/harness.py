@@ -8,14 +8,16 @@ Monte Carlo averages carry standard errors.
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from . import __version__
-from .channel import (FdChannelModel, _complex_to_pairs, _write_csv,
-                      achievable_rate, db_to_linear,
+from .channel import (FdChannelModel, _complex_to_pairs, _effective_channel,
+                      _log2det, _node_constants, _powers, _strategies,
+                      _write_csv, achievable_rate, db_to_linear,
                       one_way_capacity, sample_channel, tdma_sum_rate)
 from .nash import (IwfaConfig, circulant_uniqueness_probability, iwfa,
                    miso_ne)
@@ -43,8 +45,10 @@ _DEFAULTS = {
             "boundary_grid": 60},
 }
 
-# integer counts; a BER point needs at least one QPSK symbol (two bits)
-_MIN_COUNTS = {"trials": 1, "bits_per_point": 2}
+# integer counts; a BER point needs at least one QPSK symbol (two bits),
+# and a z grid needs both of its ends (z = 0 and z = z_max)
+_MIN_COUNTS = {"M": 1, "N": 1, "trials": 1, "bits_per_point": 2,
+               "grid": 2, "boundary_grid": 2}
 
 
 def _check_count(key, value, least):
@@ -52,6 +56,14 @@ def _check_count(key, value, least):
             or value < least):
         raise ValueError(f"param {key!r} must be an integer >= {least}, "
                          f"got {value!r}")
+
+
+def _check_real(key, value, positive=False):
+    low = 0.0 if positive else -math.inf
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not low < value < math.inf):
+        kind = "a positive finite number" if positive else "a finite number"
+        raise ValueError(f"param {key!r} must be {kind}, got {value!r}")
 
 
 def _iwfa_config(name, params):
@@ -93,8 +105,14 @@ class ExperimentSpec:
                     and not isinstance(value, (list, tuple))):
                 raise ValueError(f"param {key!r} must be a list, "
                                  f"got {value!r}")
+            if key.endswith(("_list", "_sweep")):     # dB values
+                for element in value:
+                    _check_real(key, element)
         for key, least in _MIN_COUNTS.items():
             _check_count(key, merged.get(key, least), least)
+        for key in ("P", "gamma_db", "beta_db"):  # beta_db None: ideal
+            if key in merged and (key != "beta_db" or merged[key] is not None):
+                _check_real(key, merged[key], positive=key == "P")
         self.iwfa_cfg = _iwfa_config(self.name, merged)
         self.params = merged
 
@@ -252,9 +270,10 @@ def run_ne_vs_tdma(spec):
                     excluded += 1
                     excluded_cyclic += tr.cycle is not None
                     continue
-                prof = tr.final
-                ne_rates.append(achievable_rate(ch, 1, prof)
-                                + achievable_rate(ch, 2, prof))
+                Q = _strategies(ch, tr.final)
+                r1, r2 = _log2det(_effective_channel(
+                    _node_constants(ch, (1, 2)), _powers(Q)[::-1]), Q)
+                ne_rates.append(r1 + r2)
                 tdma_rates.append(tdma_sum_rate(ch))
             ne_mean = float(np.mean(ne_rates)) if ne_rates else float("nan")
             ne_se = (float(np.std(ne_rates, ddof=1) / np.sqrt(len(ne_rates)))
@@ -371,6 +390,11 @@ def wilson_interval(errors, n, z=2.0):
     return float(max(center - half, 0.0)), float(min(center + half, 1.0))
 
 
+def _gaussian_tail(x):
+    """Q(x) = P(Z > x) for a standard normal Z: erfc(x / sqrt(2)) / 2."""
+    return 0.5 * math.erfc(x * math.sqrt(0.5))
+
+
 def _qpsk_ber_one_direction(ch, w1, w2, n_symbols, rng):
     """Bit error rate of the node-1 -> node-2 transmission under
     simultaneous beamformed QPSK from both nodes.
@@ -445,7 +469,7 @@ def run_ber(spec):
             g2 = ch.eta[(1, 2)] * abs(np.vdot(ch.h(1, 2), w1)) ** 2
             sigma2 = 1.0 + ch.beta * ch.eta[(2, 2)] * float(
                 (np.abs(ch.h(2, 2)) ** 2 * np.abs(w2) ** 2).sum())
-            analytic = float(norm.sf(np.sqrt(g2 / sigma2)))
+            analytic = _gaussian_tail(math.sqrt(g2 / sigma2))
             rows.append([float(snr_db), name, errs / nbits, lo, hi,
                          analytic, nbits])
     return ExperimentResult(

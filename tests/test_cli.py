@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +157,11 @@ def _iwfa_convergence(**params):
         **params)}}
 
 
+def _rate_region(**params):
+    return {"experiment": {"name": "rate_region", "params": dict(
+        {"beta_db": -40.0, "gamma_db_list": [-20.0], "grid": 10}, **params)}}
+
+
 def _with_ne(channel_config):
     cfg = json.loads(channel_config.read_text())
     cfg["ne"] = {"delta": 1e-8, "max_iter": 500, "mode": "synchronous"}
@@ -183,13 +192,27 @@ def _as_is(channel_config):
     ("experiment", lambda _: _iwfa_convergence(step_budgets=[]), []),
     ("ne", _with_ne, ["ne.delta=NaN"]),
     ("experiment", lambda _: _ne_vs_tdma(max_iter=True), []),
+    ("experiment", lambda _: _ne_vs_tdma(M="3"), []),
+    ("experiment", lambda _: _ne_vs_tdma(P=-1), []),
+    ("experiment", lambda _: _ne_vs_tdma(M=0), []),
+    ("experiment", lambda _: _ne_vs_tdma(N=0), []),
+    ("experiment", lambda _: _ne_vs_tdma(eta_self_db_sweep=["x"]), []),
+    ("experiment", lambda _: _rate_region(grid=2.5), []),
+    ("experiment", lambda _: _rate_region(gamma_db_list=[None]), []),
+    ("experiment", lambda _: _rate_region(grid=0), []),
+    ("experiment", lambda _: _rate_region(beta_db="x"), []),
+    ("experiment", lambda _: _ber(boundary_grid=1), []),
+    ("experiment", lambda _: _ber(gamma_db=float("inf")), []),
 ], ids=["pareto-no-eta", "uniqueness-no-eta", "scalar-sweep",
         "negative-bits", "negative-grid", "string-grid", "zero-grid-pair",
         "negative-delta", "unknown-mode", "fractional-max-iter",
         "experiment-fractional-max-iter", "experiment-negative-delta",
         "experiment-string-delta", "convergence-negative-delta",
         "fractional-step-budget", "zero-step-budget", "empty-step-budgets",
-        "nan-delta", "boolean-max-iter"])
+        "nan-delta", "boolean-max-iter", "string-M", "negative-P", "zero-M",
+        "zero-N", "string-sweep-element", "fractional-region-grid",
+        "null-list-element", "zero-region-grid", "string-beta-db",
+        "one-point-boundary-grid", "infinite-gamma-db"])
 def test_malformed_config_exits_2(command, make_config, overrides,
                                   channel_config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
@@ -201,3 +224,16 @@ def test_malformed_config_exits_2(command, make_config, overrides,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_unloaded():
+    # the runtime needs numpy only; scipy is a test dependency
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, fdtwoway, fdtwoway.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
+from fdtwoway import harness
+from fdtwoway.channel import (FdChannelModel, achievable_rate,
+                              sample_channel, tdma_sum_rate)
 from fdtwoway.harness import (ExperimentSpec, _crossover, run, run_ber,
                               run_iwfa_convergence, run_ne_vs_tdma,
                               run_rate_region, run_uniqueness_probability,
                               wilson_interval)
+from fdtwoway.nash import iwfa
 
 
 class TestExperimentSpec:
@@ -129,6 +134,32 @@ class TestNeVsTdma:
         assert [row[-1] for row in res.rows] == [1, 2]
         assert res.metadata["excluded_cyclic"] == [0, 1]
 
+    def test_rates_match_per_link_calls(self):
+        # the stacked NE rates equal the per-link achievable_rate calls
+        spec = ExperimentSpec("ne_vs_tdma",
+                              {"eta_direct_db_list": [10.0],
+                               "eta_self_db_sweep": [50.0, 70.0],
+                               "trials": 8}, rng_seed=2)
+        res = run_ne_vs_tdma(spec)
+        for si, eta_s in enumerate((1e5, 1e7)):
+            ne, tdma = [], []
+            for t in range(8):
+                ch = sample_channel(3, 3, {(1, 1): eta_s, (2, 2): eta_s,
+                                           (1, 2): 10.0, (2, 1): 10.0},
+                                    1e-6, {1: 10.0, 2: 10.0},
+                                    np.random.default_rng([2, 1, 0, si, t]),
+                                    symmetric=True)
+                ch = FdChannelModel(H={k: v / np.sqrt(3)
+                                       for k, v in ch.H.items()},
+                                    eta=ch.eta, beta=ch.beta, P=ch.P)
+                tr = iwfa(ch, (np.zeros((3, 3)), np.zeros((3, 3))))
+                if tr.converged:
+                    ne.append(achievable_rate(ch, 1, tr.final)
+                              + achievable_rate(ch, 2, tr.final))
+                    tdma.append(tdma_sum_rate(ch))
+            assert res.rows[si][2] == float(np.mean(ne))
+            assert res.rows[si][4] == float(np.mean(tdma))
+
     def test_crossover_interpolation(self):
         gaps = [(60.0, 1.0), (62.0, -1.0)]
         assert _crossover(gaps) == pytest.approx(61.0)
@@ -175,6 +206,17 @@ class TestBer:
         for row in res.rows:
             _, _, ber, lo, hi, analytic, _ = row
             assert lo <= analytic <= hi
+
+    def test_gaussian_approx_matches_scipy(self, monkeypatch):
+        xs = np.linspace(0.0, 12.0, 481)
+        assert ([harness._gaussian_tail(x) for x in xs]
+                == pytest.approx(norm.sf(xs), rel=1e-13, abs=0.0))
+        spec = ExperimentSpec("ber", {"snr_db_sweep": [0.0, 4.0, 8.0, 12.0],
+                                      "bits_per_point": 4}, rng_seed=7)
+        ours = [row[5] for row in run_ber(spec).rows]
+        monkeypatch.setattr(harness, "_gaussian_tail", norm.sf)
+        assert ours == pytest.approx([row[5] for row in run_ber(spec).rows],
+                                     rel=1e-13, abs=0.0)
 
     def test_strategy_ordering(self):
         spec = ExperimentSpec("ber", {"snr_db_sweep": [8.0],

@@ -9,13 +9,13 @@ from scipy.optimize import minimize
 
 from fdtwoway import cli, pareto
 from fdtwoway.channel import (FdChannelModel, achievable_rate,
-                              channel_to_dict, check_covariance, other,
-                              sample_channel)
+                              channel_to_dict, other, sample_channel)
 from fdtwoway.pareto import (DecoupledProblem, dual_certificate,
                              epsilon_zero_condition, export_boundary_csv,
                              is_rank_one, optimal_beamforming,
                              pareto_boundary, pareto_filter, rank_reduce,
                              zf_beamforming)
+from helpers import check_covariance
 
 
 def random_problem(M, rng, z_frac=0.5, P=1.0):
