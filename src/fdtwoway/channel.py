@@ -146,11 +146,17 @@ def achievable_rate(ch, i, profile):
     them; returns a float for one profile and an array over the stack
     otherwise.
     """
-    Q = _strategies(ch, profile)
-    d = _powers(Q[other(i) - 1])[..., None, :]      # a stack of one link
-    W = _effective_channel(_node_constants(ch, (i,)), d)[..., 0, :, :]
-    rate = _log2det(W, Q[i - 1])
+    rate = _link_rates(ch, profile, (i,))[..., 0]
     return float(rate) if rate.ndim == 0 else rate
+
+
+def _link_rates(ch, profile, nodes):
+    """Rates of the links i -> other(i), i in `nodes`, stacked on the last
+    axis, for a profile (Q1, Q2) of strategies or stacks of them."""
+    Q = _strategies(ch, profile)
+    d = np.stack([_powers(Q[other(i) - 1]) for i in nodes], axis=-2)
+    W = _effective_channel(_node_constants(ch, nodes), d)
+    return _log2det(W, np.stack([Q[i - 1] for i in nodes], axis=-3))
 
 
 def sample_channel(M, N, eta, beta, P, rng, symmetric=False):
@@ -170,25 +176,18 @@ def sample_channel(M, N, eta, beta, P, rng, symmetric=False):
 def one_way_capacity(ch, i):
     """Half-duplex capacity of the i -> j link against thermal noise only:
     max over trace(Q) <= P_i of log2 det(I + eta_ij H_ij Q H_ij^H)."""
-    return float(_one_way_capacities(ch, (i,))[0])
-
-
-def _one_way_capacities(ch, nodes):
-    """one_way_capacity of the links i -> other(i), i in `nodes`, stacked."""
-    links = [(i, other(i)) for i in nodes]
-    H = np.array([ch.H[link] for link in links])
-    eta = np.array([ch.eta[link] for link in links])
-    G = eta[:, None, None] * (_herm(H) @ H)
-    gains = np.linalg.eigvalsh((G + _herm(G)) / 2)
-    powers, _ = water_fill(gains, [float(ch.P[i]) for i in nodes])
-    return np.log2(1.0 + gains * powers).sum(axis=-1)
+    j = other(i)
+    Hij = ch.H[(i, j)]
+    G = ch.eta[(i, j)] * (Hij.conj().T @ Hij)
+    gains = np.linalg.eigvalsh((G + G.conj().T) / 2)
+    powers, _ = water_fill(gains, ch.P[i])
+    return float(np.log2(1.0 + gains * powers).sum())
 
 
 def tdma_sum_rate(ch):
     """Half-duplex TDMA baseline: equal time split, full per-slot power,
     no self-interference."""
-    c1, c2 = _one_way_capacities(ch, (1, 2))
-    return float(0.5 * c1 + 0.5 * c2)
+    return 0.5 * one_way_capacity(ch, 1) + 0.5 * one_way_capacity(ch, 2)
 
 
 def simulate_frame(ch, profile, s1, s2, rng):

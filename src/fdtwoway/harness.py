@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import (FdChannelModel, _complex_to_pairs, _effective_channel,
-                      _log2det, _node_constants, _powers, _strategies,
+from .channel import (FdChannelModel, _complex_to_pairs, _link_rates,
                       _write_csv, achievable_rate, db_to_linear,
                       one_way_capacity, sample_channel, tdma_sum_rate)
 from .nash import (IwfaConfig, circulant_uniqueness_probability, iwfa,
@@ -270,9 +269,7 @@ def run_ne_vs_tdma(spec):
                     excluded += 1
                     excluded_cyclic += tr.cycle is not None
                     continue
-                Q = _strategies(ch, tr.final)
-                r1, r2 = _log2det(_effective_channel(
-                    _node_constants(ch, (1, 2)), _powers(Q)[::-1]), Q)
+                r1, r2 = _link_rates(ch, tr.final, (1, 2))
                 ne_rates.append(r1 + r2)
                 tdma_rates.append(tdma_sum_rate(ch))
             ne_mean = float(np.mean(ne_rates)) if ne_rates else float("nan")

@@ -1,4 +1,5 @@
-"""Checks shared by several test modules."""
+"""Covariance checks shared by several test modules; `pythonpath` in
+pyproject.toml puts this directory on sys.path."""
 
 import numpy as np
 

@@ -5,13 +5,10 @@ import pytest
 from scipy.stats import norm
 
 from fdtwoway import harness
-from fdtwoway.channel import (FdChannelModel, achievable_rate,
-                              sample_channel, tdma_sum_rate)
 from fdtwoway.harness import (ExperimentSpec, _crossover, run, run_ber,
                               run_iwfa_convergence, run_ne_vs_tdma,
                               run_rate_region, run_uniqueness_probability,
                               wilson_interval)
-from fdtwoway.nash import iwfa
 
 
 class TestExperimentSpec:
@@ -133,32 +130,6 @@ class TestNeVsTdma:
         res = run_ne_vs_tdma(spec)
         assert [row[-1] for row in res.rows] == [1, 2]
         assert res.metadata["excluded_cyclic"] == [0, 1]
-
-    def test_rates_match_per_link_calls(self):
-        # the stacked NE rates equal the per-link achievable_rate calls
-        spec = ExperimentSpec("ne_vs_tdma",
-                              {"eta_direct_db_list": [10.0],
-                               "eta_self_db_sweep": [50.0, 70.0],
-                               "trials": 8}, rng_seed=2)
-        res = run_ne_vs_tdma(spec)
-        for si, eta_s in enumerate((1e5, 1e7)):
-            ne, tdma = [], []
-            for t in range(8):
-                ch = sample_channel(3, 3, {(1, 1): eta_s, (2, 2): eta_s,
-                                           (1, 2): 10.0, (2, 1): 10.0},
-                                    1e-6, {1: 10.0, 2: 10.0},
-                                    np.random.default_rng([2, 1, 0, si, t]),
-                                    symmetric=True)
-                ch = FdChannelModel(H={k: v / np.sqrt(3)
-                                       for k, v in ch.H.items()},
-                                    eta=ch.eta, beta=ch.beta, P=ch.P)
-                tr = iwfa(ch, (np.zeros((3, 3)), np.zeros((3, 3))))
-                if tr.converged:
-                    ne.append(achievable_rate(ch, 1, tr.final)
-                              + achievable_rate(ch, 2, tr.final))
-                    tdma.append(tdma_sum_rate(ch))
-            assert res.rows[si][2] == float(np.mean(ne))
-            assert res.rows[si][4] == float(np.mean(tdma))
 
     def test_crossover_interpolation(self):
         gaps = [(60.0, 1.0), (62.0, -1.0)]

@@ -15,7 +15,7 @@ from fdtwoway.pareto import (DecoupledProblem, dual_certificate,
                              is_rank_one, optimal_beamforming,
                              pareto_boundary, pareto_filter, rank_reduce,
                              zf_beamforming)
-from helpers import check_covariance
+from covariance_checks import check_covariance
 
 
 def random_problem(M, rng, z_frac=0.5, P=1.0):
