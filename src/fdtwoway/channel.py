@@ -162,13 +162,13 @@ def _link_rates(ch, profile, nodes):
 def sample_channel(M, N, eta, beta, P, rng, symmetric=False):
     """Random Rayleigh-fading channel model; deterministic per generator
     state. With symmetric=True, H12 = H21 and H11 = H22."""
-    H11 = sample_complex_gaussian(N, M, rng)
-    H12 = sample_complex_gaussian(N, M, rng)
+    H11 = sample_complex_gaussian((N, M), rng)
+    H12 = sample_complex_gaussian((N, M), rng)
     if symmetric:
         H22, H21 = H11, H12
     else:
-        H21 = sample_complex_gaussian(N, M, rng)
-        H22 = sample_complex_gaussian(N, M, rng)
+        H21 = sample_complex_gaussian((N, M), rng)
+        H22 = sample_complex_gaussian((N, M), rng)
     H = {(1, 1): H11, (1, 2): H12, (2, 1): H21, (2, 2): H22}
     return FdChannelModel(H=H, eta=dict(eta), beta=float(beta), P=dict(P))
 
@@ -190,28 +190,34 @@ def tdma_sum_rate(ch):
     return 0.5 * one_way_capacity(ch, 1) + 0.5 * one_way_capacity(ch, 2)
 
 
-def simulate_frame(ch, profile, s1, s2, rng):
-    """One symbol-level channel use.
+def _receive(ch, i, Q_i, s_j, rng):
+    """(e_i, n_i, y_i) at node i for beamformed symbols s_j (..., M) from
+    node j = other(i), leading axes being symbols: draws the front-end noise
+    e_i ~ CN(0, beta diag(Q_i)), then n_i ~ CN(0, I), per symbol, and forms
+    y_i = sqrt(eta_ji) H_ji s_j + sqrt(eta_ii) H_ii e_i + n_i."""
+    j = other(i)
+    batch = s_j.shape[:-1]
+    std = np.sqrt(ch.beta * np.maximum(_powers(Q_i), 0.0))
+    e = std * sample_complex_gaussian((*batch, ch.M), rng)
+    n = sample_complex_gaussian((*batch, ch.N), rng)
+    y = (s_j @ (np.sqrt(ch.eta[(j, i)]) * ch.H[(j, i)]).T
+         + e @ (np.sqrt(ch.eta[(i, i)]) * ch.H[(i, i)]).T + n)
+    return e, n, y
 
-    s_i are the intended transmit M-vectors (already beamformed). Returns a
-    dict with the front-end noise draws e, thermal noise n and
-    post-cancellation received signals y per node:
-    y_i = sqrt(eta_ji) H_ji s_j + sqrt(eta_ii) H_ii e_i + n_i.
+
+def simulate_frame(ch, profile, s1, s2, rng):
+    """Symbol-level channel uses under the strategies of `profile`.
+
+    s_i are node i's intended transmit M-vectors (already beamformed), one
+    per leading index of a stack (K, M). Returns a dict with the front-end
+    noise draws e, thermal noise n and post-cancellation received signals
+    y per node: y_i = sqrt(eta_ji) H_ji s_j + sqrt(eta_ii) H_ii e_i + n_i.
     """
-    Q = {1: np.asarray(profile[0], dtype=complex),
-         2: np.asarray(profile[1], dtype=complex)}
     s = {1: np.asarray(s1, dtype=complex), 2: np.asarray(s2, dtype=complex)}
     e, n, y = {}, {}, {}
     for i in (1, 2):
-        std = np.sqrt(ch.beta * np.maximum(np.diag(Q[i]).real, 0.0))
-        e[i] = std * (rng.normal(scale=np.sqrt(0.5), size=ch.M)
-                      + 1j * rng.normal(scale=np.sqrt(0.5), size=ch.M))
-        n[i] = (rng.normal(scale=np.sqrt(0.5), size=ch.N)
-                + 1j * rng.normal(scale=np.sqrt(0.5), size=ch.N))
-    for i in (1, 2):
-        j = other(i)
-        y[i] = (np.sqrt(ch.eta[(j, i)]) * ch.H[(j, i)] @ s[j]
-                + np.sqrt(ch.eta[(i, i)]) * ch.H[(i, i)] @ e[i] + n[i])
+        e[i], n[i], y[i] = _receive(ch, i, np.asarray(profile[i - 1]),
+                                    s[other(i)], rng)
     return {"s": s, "e": e, "n": n, "y": y}
 
 

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 numerical failure (e.g. non-convergence under
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 
@@ -129,33 +128,26 @@ def _run_pareto(inv):
     ch = _load_channel_section(inv.config)
     grid = inv.config.get("pareto", {}).get("grid", 200)
     pair = [grid, grid] if not isinstance(grid, list) else grid
-    if len(pair) != 2 or not all(type(g) is int and g >= 1 for g in pair):
-        raise UsageError("pareto.grid must be a positive integer or a pair "
+    # each axis needs both of its ends, z = 0 and z = z_max
+    if len(pair) != 2 or not all(type(g) is int and g >= 2 for g in pair):
+        raise UsageError("pareto.grid must be an integer >= 2 or a pair "
                          f"of them, got {grid!r}")
     points = pareto_boundary(ch, grid=tuple(pair))
-    buf = io.StringIO()
-    export_boundary_csv(points, buf)
-    _emit(buf.getvalue(), inv.output)
+    export_boundary_csv(points, inv.output or sys.stdout)
     print(f"pareto: {len(points)} boundary points", file=sys.stderr)
     return 0
 
 
 def _run_ne(inv):
     ch = _load_channel_section(inv.config)
-    opts = inv.config.get("ne", {})
     try:
-        cfg = IwfaConfig(delta=opts.get("delta", 1e-8),
-                         max_iter=opts.get("max_iter", 500),
-                         mode=opts.get("mode", "synchronous"),
-                         miss_probability=opts.get("miss_probability", 0.0),
-                         rng_seed=inv.seed)
+        cfg = IwfaConfig(**inv.config.get("ne", {}), rng_seed=inv.seed)
     except (TypeError, ValueError) as e:
         raise UsageError(f"malformed 'ne' section: {e}")
     zero = (np.zeros((ch.M, ch.M)), np.zeros((ch.M, ch.M)))
     trace = iwfa(ch, zero, cfg)
     report = uniqueness_condition(ch)
-    buf = io.StringIO()
-    export_trace_csv(ch, trace, buf)
+    export_trace_csv(ch, trace, inv.output or sys.stdout)
     payload = {"uniqueness": _jsonable(report),
                "converged": trace.converged,
                "iterations": trace.iterations,
@@ -163,10 +155,8 @@ def _run_ne(inv):
                "final_profile": {"Q1": _jsonable(trace.final[0]),
                                  "Q2": _jsonable(trace.final[1])}}
     if inv.output is None:
-        sys.stdout.write(buf.getvalue())
         sys.stdout.write(json.dumps(payload, indent=1) + "\n")
     else:
-        _emit(buf.getvalue(), inv.output)
         with open(inv.output + ".report.json", "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=1)
     print(f"ne: converged={trace.converged} after {trace.iterations} "

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import (FdChannelModel, _complex_to_pairs, _link_rates,
-                      _write_csv, achievable_rate, db_to_linear,
-                      one_way_capacity, sample_channel, tdma_sum_rate)
+from .channel import (_complex_to_pairs, _link_rates, _receive, _write_csv,
+                      achievable_rate, db_to_linear, one_way_capacity,
+                      sample_channel, tdma_sum_rate)
+from .linalg import sample_complex_gaussian
 from .nash import (IwfaConfig, circulant_uniqueness_probability, iwfa,
                    miso_ne)
 from .pareto import pareto_boundary, zf_beamforming
@@ -179,19 +180,23 @@ def run(spec):
             "ber": run_ber}[spec.name](spec)
 
 
+def _symmetric_channel(M, N, eta_direct, eta_self, beta, P, rng):
+    """Symmetric Rayleigh channel (H12 = H21, H11 = H22) with the given
+    direct and self-interference gains, beta and power budget P per node."""
+    return sample_channel(M, N, {(1, 1): eta_self, (2, 2): eta_self,
+                                 (1, 2): eta_direct, (2, 1): eta_direct},
+                          beta, {1: P, 2: P}, rng, symmetric=True)
+
+
 # ---------------------------------------------------------------- regions
 
 def _symmetric_miso_channel(M, P, beta, eta_direct, eta_self, rng):
     """Symmetric MISO channel with the direct channel normalized to unit
     norm (the standard rate-region setup)."""
-    ch = sample_channel(M, 1, {(1, 1): eta_self, (2, 2): eta_self,
-                               (1, 2): eta_direct, (2, 1): eta_direct},
-                        beta, {1: P, 2: P}, rng, symmetric=True)
-    H = dict(ch.H)
-    scale = 1.0 / np.linalg.norm(H[(1, 2)])
-    H[(1, 2)] = H[(1, 2)] * scale
-    H[(2, 1)] = H[(1, 2)]
-    return FdChannelModel(H=H, eta=ch.eta, beta=ch.beta, P=ch.P)
+    ch = _symmetric_channel(M, 1, eta_direct, eta_self, beta, P, rng)
+    h = ch.H[(1, 2)]
+    ch.H[(1, 2)] = ch.H[(2, 1)] = h * (1.0 / np.linalg.norm(h))
+    return ch
 
 
 def run_rate_region(spec):
@@ -256,13 +261,9 @@ def run_ne_vs_tdma(spec):
             ne_rates, tdma_rates = [], []
             excluded = excluded_cyclic = 0
             for t in range(trials):
-                rng = _stream(spec, 1, di, si, t)
-                ch = sample_channel(M, N,
-                                    {(1, 1): eta_s, (2, 2): eta_s,
-                                     (1, 2): eta_d, (2, 1): eta_d},
-                                    beta, {1: P, 2: P}, rng, symmetric=True)
-                H = {k: v / np.sqrt(M) for k, v in ch.H.items()}
-                ch = FdChannelModel(H=H, eta=ch.eta, beta=ch.beta, P=ch.P)
+                ch = _symmetric_channel(M, N, eta_d, eta_s, beta, P,
+                                        _stream(spec, 1, di, si, t))
+                ch.H = {k: v / np.sqrt(M) for k, v in ch.H.items()}
                 init = (np.zeros((M, M)), np.zeros((M, M)))
                 tr = iwfa(ch, init, spec.iwfa_cfg)
                 if not tr.converged:
@@ -309,10 +310,8 @@ def _crossover(gaps):
 def _circulant_condition_mc(M, gamma, beta, trials, rng):
     """Monte Carlo probability of the circulant max-ratio uniqueness
     condition over symmetric circulant channel draws."""
-    g11 = (rng.normal(scale=np.sqrt(0.5), size=(trials, M))
-           + 1j * rng.normal(scale=np.sqrt(0.5), size=(trials, M)))
-    g21 = (rng.normal(scale=np.sqrt(0.5), size=(trials, M))
-           + 1j * rng.normal(scale=np.sqrt(0.5), size=(trials, M)))
+    g11 = sample_complex_gaussian((trials, M), rng)
+    g21 = sample_complex_gaussian((trials, M), rng)
     s11 = np.abs(np.fft.fft(g11, axis=1))
     s21 = np.abs(np.fft.fft(g21, axis=1))
     max_ratio = (s11 / s21).max(axis=1)
@@ -357,10 +356,8 @@ def run_iwfa_convergence(spec):
         eta_s = eta_d / gamma
         steps = np.full(trials, np.inf)
         for t in range(trials):
-            rng = _stream(spec, 3, gi, t)
-            ch = sample_channel(M, N, {(1, 1): eta_s, (2, 2): eta_s,
-                                       (1, 2): eta_d, (2, 1): eta_d},
-                                beta, {1: P, 2: P}, rng, symmetric=True)
+            ch = _symmetric_channel(M, N, eta_d, eta_s, beta, P,
+                                    _stream(spec, 3, gi, t))
             tr = iwfa(ch, (np.zeros((M, M)), np.zeros((M, M))),
                       spec.iwfa_cfg)
             if tr.converged:
@@ -376,10 +373,14 @@ def run_iwfa_convergence(spec):
 
 # ---------------------------------------------------------------- BER
 
-def wilson_interval(errors, n, z=2.0):
-    """Wilson score interval for a binomial proportion."""
+WILSON_Z = 2.0
+
+
+def wilson_interval(errors, n):
+    """Wilson score interval for a binomial proportion, z = WILSON_Z."""
     if n == 0:
         return 0.0, 1.0
+    z = WILSON_Z
     phat = errors / n
     denom = 1.0 + z ** 2 / n
     center = (phat + z ** 2 / (2 * n)) / denom
@@ -396,25 +397,16 @@ def _qpsk_ber_one_direction(ch, w1, w2, n_symbols, rng):
     """Bit error rate of the node-1 -> node-2 transmission under
     simultaneous beamformed QPSK from both nodes.
 
-    Vectorized rendering of the frame model: the receiver applies a
-    matched filter on the known effective scalar channel and makes
-    minimum-distance (per-quadrant) decisions.
+    The symbols pass through the frame model of node 2's receiver; the
+    receiver applies a matched filter on the known effective scalar
+    channel and makes minimum-distance (per-quadrant) decisions.
     """
     bits = rng.integers(0, 2, size=(n_symbols, 2))
     x1 = ((1 - 2 * bits[:, 0]) + 1j * (1 - 2 * bits[:, 1])) / np.sqrt(2)
     # node 2 also transmits (its symbols only matter through its front-end noise)
-    Q2 = np.outer(w2, w2.conj())
+    _, _, y = _receive(ch, 2, np.outer(w2, w2.conj()), x1[:, None] * w1, rng)
     g = np.sqrt(ch.eta[(1, 2)]) * np.vdot(ch.h(1, 2), w1)
-    # front-end noise of the receiving node 2, cov beta*diag(Q2)
-    std_e = np.sqrt(ch.beta * np.maximum(np.diag(Q2).real, 0.0))
-    e2 = (rng.normal(scale=np.sqrt(0.5), size=(n_symbols, ch.M))
-          + 1j * rng.normal(scale=np.sqrt(0.5), size=(n_symbols, ch.M))) * std_e
-    h22 = ch.h(2, 2)
-    self_noise = np.sqrt(ch.eta[(2, 2)]) * (e2 @ h22.conj())
-    thermal = (rng.normal(scale=np.sqrt(0.5), size=n_symbols)
-               + 1j * rng.normal(scale=np.sqrt(0.5), size=n_symbols))
-    y = g * x1 + self_noise + thermal
-    z = y * np.conj(g) / abs(g)   # phase-align; quadrant decision
+    z = y[:, 0] * np.conj(g) / abs(g)   # phase-align; quadrant decision
     est = np.stack([(z.real < 0).astype(int), (z.imag < 0).astype(int)],
                    axis=1)
     return int(np.sum(est != bits)), 2 * n_symbols

@@ -8,6 +8,7 @@ import numpy as np
 
 # water_fill treats gains <= this times max(largest gain, 1) as zero
 WATERFILL_RTOL = 1e-14
+PINV_RCOND = 1e-12
 
 
 def spectral_radius(A):
@@ -18,11 +19,10 @@ def spectral_radius(A):
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def pseudo_inverse(A, rcond=1e-12):
+def pseudo_inverse(A):
     """Moore-Penrose pseudoinverse with singular values below
-    sigma_max * rcond truncated."""
-    A = np.asarray(A, dtype=complex)
-    return np.linalg.pinv(A, rcond=rcond)
+    sigma_max * PINV_RCOND truncated."""
+    return np.linalg.pinv(np.asarray(A, dtype=complex), rcond=PINV_RCOND)
 
 
 def weighted_max_norm(X1, X2, w):
@@ -55,11 +55,11 @@ def water_fill(gains, P):
     return np.maximum(mu[..., None] - inv, 0.0), mu
 
 
-def sample_complex_gaussian(rows, cols, rng):
-    """i.i.d. circularly-symmetric complex Gaussian entries with unit
-    variance (real/imag parts each of variance 1/2)."""
-    if rows <= 0 or cols <= 0:
+def sample_complex_gaussian(shape, rng):
+    """i.i.d. circularly-symmetric CN(0, 1) entries of the given shape: real
+    and imaginary parts of variance 1/2 each, all real parts drawn first."""
+    if any(d <= 0 for d in shape):
         raise ValueError("dimensions must be positive")
-    re = rng.normal(scale=np.sqrt(0.5), size=(rows, cols))
-    im = rng.normal(scale=np.sqrt(0.5), size=(rows, cols))
+    re = rng.normal(scale=np.sqrt(0.5), size=shape)
+    im = rng.normal(scale=np.sqrt(0.5), size=shape)
     return re + 1j * im

@@ -16,6 +16,7 @@ from .linalg import (pseudo_inverse, spectral_radius, water_fill,
 
 DEFAULT_DELTA = 1e-8
 DEFAULT_MAX_ITER = 500
+MISO_NE_TOL = 1e-8
 
 
 @dataclass
@@ -187,36 +188,28 @@ class UniquenessReport:
     bound_radius: tuple
 
 
-def _bound_radius(ch, i):
-    """rho(H_ii^H Hji^-H Hji^-1 H_ii) with the Moore-Penrose inverse."""
-    j = other(i)
-    Hji_pinv = pseudo_inverse(ch.H[(j, i)])
-    X = ch.H[(i, i)].conj().T @ Hji_pinv.conj().T @ Hji_pinv @ ch.H[(i, i)]
-    return spectral_radius(X)
-
-
 def uniqueness_condition(ch):
     """Sufficient condition for a unique NE: alpha_1 * alpha_2 < 1.
 
     Per node, the tight spectral-radius bound applies when the incoming
     direct channel has full row rank; otherwise the inflated general bound
     (1 + beta eta_ii P_i rho(H_ii^H H_ii)) rho(H_ii^H H_ii)
-    rho(Hji^-H Hji^-1) is used, both scaled by beta / gamma_i.
+    rho(Hji^-H Hji^-1) is used, both scaled by beta / gamma_i. The
+    reported bound_radius is rho(H_ii^H Hji^-H Hji^-1 H_ii), with the
+    Moore-Penrose inverse.
     """
     alphas, branches, radii = [], [], []
     for i in (1, 2):
-        j = other(i)
-        Hji = ch.H[(j, i)]
-        rad = _bound_radius(ch, i)
+        Hji, Hii = ch.H[(other(i), i)], ch.H[(i, i)]
+        pinv = pseudo_inverse(Hji)
+        rad = spectral_radius(Hii.conj().T @ pinv.conj().T @ pinv @ Hii)
         radii.append(rad)
-        full_row = np.linalg.matrix_rank(Hji) == ch.N
         pref = ch.beta / ch.gamma(i)
-        if full_row:
+        if np.linalg.matrix_rank(Hji) == ch.N:
             alpha = pref * rad
             branches.append("full-row-rank")
         else:
-            rho_self = spectral_radius(ch.H[(i, i)].conj().T @ ch.H[(i, i)])
-            pinv = pseudo_inverse(Hji)
+            rho_self = spectral_radius(Hii.conj().T @ Hii)
             rho_inv = spectral_radius(pinv.conj().T @ pinv)
             alpha = pref * (1.0 + ch.beta * ch.eta[(i, i)] * ch.P[i]
                             * rho_self) * rho_self * rho_inv
@@ -276,10 +269,10 @@ def circulant_uniqueness_probability(M, gamma, beta):
     return float(rayleigh_ratio_cdf(np.sqrt(gamma / beta)) ** M)
 
 
-def miso_ne(ch, tol=1e-8, verify=True):
+def miso_ne(ch):
     """Closed-form MISO Nash equilibrium: full-power matched filters
     Q_i = P_i h_ij h_ij^H / ||h_ij||^2, verified as a fixed point of the
-    best-response mapping."""
+    best-response mapping to within MISO_NE_TOL."""
     if ch.N != 1:
         raise ValueError("miso_ne requires N = 1")
     Qs = []
@@ -294,9 +287,9 @@ def miso_ne(ch, tol=1e-8, verify=True):
             w = np.sqrt(ch.P[i]) * h / np.sqrt(n2)
             Qs.append(np.outer(w, w.conj()))
     profile = (Qs[0], Qs[1])
-    if verify and not degenerate:
+    if not degenerate:
         image = phi_mapping(ch, profile)
-        if _profile_dist(np.stack(image), np.stack(profile)) > tol:
+        if _profile_dist(np.stack(image), np.stack(profile)) > MISO_NE_TOL:
             raise ArithmeticError("matched-filter profile is not a fixed "
                                   "point of the best-response mapping")
     return profile
@@ -317,7 +310,8 @@ def export_trace_csv(ch, trace, path_or_file):
 
 
 # Rank-deficient counterexample channel: 3x2 direct channels (rank 2 < N),
-# P1 = P2 = 10, beta eta_ii / eta_ji = 1 per node.
+# P1 = P2 = COUNTEREXAMPLE_P, beta eta_ii / eta_ji = 1 per node.
+COUNTEREXAMPLE_P = 10.0
 COUNTEREXAMPLE_H11 = np.array([
     [-0.1440 + 0.3203j, -0.6735 - 0.0040j],
     [-0.4009 + 0.5149j, -0.0351 + 0.6118j],
@@ -338,10 +332,10 @@ def counterexample_channel():
          (1, 2): COUNTEREXAMPLE_H21, (2, 1): COUNTEREXAMPLE_H21}
     return FdChannelModel(H=H, eta={(1, 1): 1.0, (2, 2): 1.0,
                                     (1, 2): 1.0, (2, 1): 1.0},
-                          beta=1.0, P={1: 10.0, 2: 10.0})
+                          beta=1.0, P={i: COUNTEREXAMPLE_P for i in (1, 2)})
 
 
-def counterexample_probe_pairs(n, rng, P=10.0):
+def counterexample_probe_pairs(n, rng):
     """Randomized probe pairs targeting the fixture's non-contractive
     region.
 
@@ -353,8 +347,8 @@ def counterexample_probe_pairs(n, rng, P=10.0):
     def diag_profile(d):
         d = np.clip(d, 0.0, None)
         s = d.sum()
-        if s > P:
-            d = d * (P / s)
+        if s > COUNTEREXAMPLE_P:
+            d = d * (COUNTEREXAMPLE_P / s)
         return np.diag(d).astype(complex)
 
     pairs = []

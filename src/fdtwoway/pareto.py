@@ -17,6 +17,9 @@ import numpy as np
 from .channel import _write_csv, achievable_rate, other
 
 EPS_BISECT_RTOL = 1e-12
+POWER_RTOL = 1e-10
+CERTIFICATE_TOL = 1e-6
+RANK_REDUCE_RTOL = 1e-9
 RANK_ONE_RATIO = 1e-8
 
 
@@ -92,7 +95,7 @@ def _weights_for_eps(prob, c, eps):
     return np.sqrt(prob.z) * u / t
 
 
-def optimal_beamforming(prob, tol=1e-10):
+def optimal_beamforming(prob):
     """Closed-form optimal rank-one solution of the decoupled problem.
 
     eps = 0 whenever the power constraint is slack; otherwise eps > 0 is
@@ -116,7 +119,7 @@ def optimal_beamforming(prob, tol=1e-10):
     else:
         w, eps = _weights_for_eps(prob, c, 0.0), 0.0
     norm2 = float(np.linalg.norm(w) ** 2)
-    if eps == 0.0 and norm2 > prob.P * (1 + tol):
+    if eps == 0.0 and norm2 > prob.P * (1 + POWER_RTOL):
         lo, g_lo = 0.0, norm2 - prob.P          # g(0) > 0
         hi = 1.0
         while float(np.linalg.norm(_weights_for_eps(prob, c, hi)) ** 2) > prob.P:
@@ -153,7 +156,7 @@ class DualCertificate:
     slack: float
 
 
-def dual_certificate(prob, sol, tol=1e-6):
+def dual_certificate(prob, sol):
     """KKT certificate of global optimality for the convex decoupled
     problem.
 
@@ -161,7 +164,8 @@ def dual_certificate(prob, sol, tol=1e-6):
     Z w = 0 for Z = C - lambda1 A + lambda2 I, with lambda2 = eps (the
     trace-constraint multiplier, zero when the budget is slack) and
     lambda1 = 1 / (h^H (C + eps I)^-1 h). Certifies Z >= 0 and
-    complementary slackness tr(Z Q) = 0.
+    complementary slackness tr(Z Q) = 0, both to within CERTIFICATE_TOL
+    times max(tr C, 1).
     """
     if np.isinf(sol.epsilon):
         raise ValueError("no dual certificate at z = z_max: Slater's "
@@ -180,8 +184,8 @@ def dual_certificate(prob, sol, tol=1e-6):
     Z = C - lambda1 * prob.A + lambda2 * np.eye(h.size)
     min_eig = float(np.linalg.eigvalsh(Z).min())
     slack = float(np.trace(Z @ sol.Q).real)
-    scale = max(float(np.trace(C).real), 1.0)
-    if min_eig < -tol * scale or abs(slack) > tol * scale:
+    tol = CERTIFICATE_TOL * max(float(np.trace(C).real), 1.0)
+    if min_eig < -tol or abs(slack) > tol:
         raise ArithmeticError(
             f"dual certificate failed (min_eig={min_eig:.3e}, "
             f"slack={slack:.3e}); solver bug")
@@ -189,7 +193,7 @@ def dual_certificate(prob, sol, tol=1e-6):
                            min_eig=min_eig, slack=slack)
 
 
-def rank_reduce(Q_opt, prob, tol=1e-9):
+def rank_reduce(Q_opt, prob):
     """Rank-one solution with the received power and self-interference
     cost of an optimal solution Q_opt.
 
@@ -200,8 +204,8 @@ def rank_reduce(Q_opt, prob, tol=1e-9):
     increase; it is equal when Q is already rank one or the power budget
     binds, the only case in which the optimum is unique. Returns the zero
     matrix when h^H Q h = 0. Raises ArithmeticError when tr(A R) or
-    tr(C R) of the result R differs from Q's by more than tol (relative),
-    as it does for a Q that is not optimal, or when tr(R) exceeds tr(Q).
+    tr(C R) of the result R differs from Q's by more than RANK_REDUCE_RTOL
+    (relative), as for a Q that is not optimal, or when tr(R) > tr(Q).
     """
     Q = np.asarray(Q_opt, dtype=complex)
     h = prob.h_dir
@@ -214,16 +218,16 @@ def rank_reduce(Q_opt, prob, tol=1e-9):
     new = (float(np.trace(prob.A @ R).real),
            float(np.trace(prob.C @ R).real))
     drift = max(abs(a - b) for a, b in zip(target, new))
-    if drift > tol * max(1.0, *map(abs, target)):
+    if drift > RANK_REDUCE_RTOL * max(1.0, *map(abs, target)):
         raise ArithmeticError(f"reduction drifted feasibility by {drift:.3e}")
-    if np.trace(R).real > np.trace(Q).real * (1 + tol):
+    if np.trace(R).real > np.trace(Q).real * (1 + RANK_REDUCE_RTOL):
         raise ArithmeticError("reduction increased the transmit power")
     return R
 
 
-def is_rank_one(Q, ratio=RANK_ONE_RATIO):
+def is_rank_one(Q):
     vals = np.sort(np.linalg.eigvalsh((Q + Q.conj().T) / 2))[::-1]
-    return vals[0] > 0 and vals[1] <= ratio * vals[0]
+    return vals[0] > 0 and vals[1] <= RANK_ONE_RATIO * vals[0]
 
 
 def _nondominated(r1, r2):
@@ -262,7 +266,7 @@ class ParetoPoint:
     epsilon2: float
 
 
-def pareto_boundary(ch, grid=(200, 200), tol=1e-10):
+def pareto_boundary(ch, grid=(200, 200)):
     """Sweep the received-power targets (z1, z2) over their feasible boxes,
     solve the decoupled problems, and return the dominance-filtered rate
     pairs with their beamforming profiles, each distinct pair once, in
@@ -282,7 +286,7 @@ def pareto_boundary(ch, grid=(200, 200), tol=1e-10):
         zs = np.linspace(0.0, z_max, grid[i - 1])
         zgrids[i] = zs
         sols[i] = [optimal_beamforming(
-            DecoupledProblem(h_dir=h_dir, h_self=h_self, z=z, P=ch.P[i]), tol)
+            DecoupledProblem(h_dir=h_dir, h_self=h_self, z=z, P=ch.P[i]))
             for z in zs]
 
     gam1 = np.array([s.objective for s in sols[1]])

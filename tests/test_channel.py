@@ -209,6 +209,38 @@ class TestSimulateFrame:
                        + out["n"][1])
         assert np.allclose(out["y"][1], y1_expected, atol=1e-12)
 
+    def test_batched_received_signal_composition(self):
+        ch = make_channel(seed=13)
+        rng = np.random.default_rng(14)
+        prof = (random_Q(3, 2.0, rng), random_Q(3, 3.0, rng))
+        K = 7
+        s1 = rng.normal(size=(K, 3)) + 1j * rng.normal(size=(K, 3))
+        s2 = rng.normal(size=(K, 3)) + 1j * rng.normal(size=(K, 3))
+        out = simulate_frame(ch, prof, s1, s2, np.random.default_rng(15))
+        for i in (1, 2):
+            j = other(i)
+            assert out["e"][i].shape == (K, ch.M)
+            assert out["n"][i].shape == out["y"][i].shape == (K, ch.N)
+            for k in range(K):
+                expected = (np.sqrt(ch.eta[(j, i)]) * ch.H[(j, i)]
+                            @ out["s"][j][k]
+                            + np.sqrt(ch.eta[(i, i)]) * ch.H[(i, i)]
+                            @ out["e"][i][k] + out["n"][i][k])
+                assert np.allclose(out["y"][i][k], expected, atol=1e-12)
+
+    def test_batch_of_one_draws_like_one_symbol(self):
+        ch = make_channel(seed=13)
+        rng = np.random.default_rng(14)
+        prof = (random_Q(3, 2.0, rng), random_Q(3, 3.0, rng))
+        s1 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        s2 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        one = simulate_frame(ch, prof, s1, s2, np.random.default_rng(15))
+        batch = simulate_frame(ch, prof, s1[None], s2[None],
+                               np.random.default_rng(15))
+        for key in ("e", "n"):
+            for i in (1, 2):
+                assert np.array_equal(batch[key][i][0], one[key][i])
+
     def test_front_end_noise_statistics(self):
         ch = make_channel(seed=16)
         Q1 = np.diag([1.5, 0.4, 0.1]).astype(complex)

@@ -203,6 +203,9 @@ def _as_is(channel_config):
     ("experiment", lambda _: _rate_region(beta_db="x"), []),
     ("experiment", lambda _: _ber(boundary_grid=1), []),
     ("experiment", lambda _: _ber(gamma_db=float("inf")), []),
+    ("pareto", _as_is, ["pareto.grid=1"]),
+    ("pareto", _as_is, ["pareto.grid=[1, 5]"]),
+    ("ne", _with_ne, ["ne.max_iters=3"]),
 ], ids=["pareto-no-eta", "uniqueness-no-eta", "scalar-sweep",
         "negative-bits", "negative-grid", "string-grid", "zero-grid-pair",
         "negative-delta", "unknown-mode", "fractional-max-iter",
@@ -212,7 +215,8 @@ def _as_is(channel_config):
         "nan-delta", "boolean-max-iter", "string-M", "negative-P", "zero-M",
         "zero-N", "string-sweep-element", "fractional-region-grid",
         "null-list-element", "zero-region-grid", "string-beta-db",
-        "one-point-boundary-grid", "infinite-gamma-db"])
+        "one-point-boundary-grid", "infinite-gamma-db", "one-point-grid",
+        "one-point-grid-pair", "unknown-ne-key"])
 def test_malformed_config_exits_2(command, make_config, overrides,
                                   channel_config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"

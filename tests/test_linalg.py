@@ -143,7 +143,7 @@ class TestWeightedMaxNorm:
 class TestComplexGaussian:
     def test_unit_variance_and_circularity(self):
         rng = np.random.default_rng(7)
-        G = sample_complex_gaussian(200, 200, rng)
+        G = sample_complex_gaussian((200, 200), rng)
         z = G.ravel()
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.02)
         # circular symmetry: E[z^2] = 0
