@@ -7,7 +7,9 @@ Rates are log base 2 (bits per channel use). Node indices are 1 and 2.
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -254,8 +256,7 @@ def channel_from_dict(d):
 
 
 def save_channel(ch, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(channel_to_dict(ch), f, indent=1)
+    _write_json(path, channel_to_dict(ch))
 
 
 def load_channel(path):
@@ -273,3 +274,44 @@ def _write_csv(path_or_file, header, rows):
         return
     with open(path_or_file, "w", encoding="utf-8", newline="") as f:
         _write_csv(f, header, rows)
+
+
+def _json_default(obj):
+    """JSON form of what json cannot encode: dataclasses as dicts, numpy
+    arrays as rows of [re, im] pairs, numpy scalars as Python ones."""
+    if is_dataclass(obj):
+        return asdict(obj)
+    if isinstance(obj, np.ndarray):
+        return _complex_to_pairs(np.atleast_2d(obj))
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _write_json(path_or_file, obj):
+    """Write obj as JSON (indent 1, sorted keys, final newline) to a
+    writable text object, or to a new file at a path."""
+    if hasattr(path_or_file, "write"):
+        json.dump(obj, path_or_file, indent=1, sort_keys=True,
+                  default=_json_default)
+        path_or_file.write("\n")
+        return
+    with open(path_or_file, "w", encoding="utf-8") as f:
+        _write_json(f, obj)
+
+
+def _check_count(name, value, least):
+    """Raise ValueError unless value is an integer >= least, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
+
+
+def _check_real(name, value, positive=False):
+    """Raise ValueError unless value is a finite real, > 0 if positive."""
+    low = 0.0 if positive else -math.inf
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not low < value < math.inf):
+        kind = "a positive finite number" if positive else "a finite number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")

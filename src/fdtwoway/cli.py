@@ -3,6 +3,7 @@
 Subcommands: pareto, ne, uniqueness, experiment. All take a JSON config
 (--config), dotted-key overrides (--set), and an optional --output path;
 without --output the data goes to stdout and diagnostics stay on stderr.
+ne and experiment also take --seed and --require-convergence.
 
 Exit codes: 0 success, 1 numerical failure (e.g. non-convergence under
 --require-convergence), 2 usage or config error.
@@ -16,8 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import channel_from_dict
-from .harness import ExperimentSpec, _jsonable, run
+from .channel import _check_count, _write_json, channel_from_dict
+from .harness import ExperimentSpec, run
 from .nash import IwfaConfig, export_trace_csv, iwfa, uniqueness_condition
 from .pareto import export_boundary_csv, pareto_boundary
 
@@ -82,9 +83,11 @@ def parse_invocation(argv):
         p.add_argument("--config", required=True)
         p.add_argument("--set", dest="overrides", action="append",
                        default=[], metavar="KEY=VALUE")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None)
-        p.add_argument("--require-convergence", action="store_true")
+        if name in ("ne", "experiment"):    # the commands that run IWFA
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--require-convergence", action="store_true")
+    parser.set_defaults(seed=None, require_convergence=False)
     args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as f:
@@ -105,14 +108,6 @@ def parse_invocation(argv):
                          require_convergence=args.require_convergence)
 
 
-def _emit(text, output):
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as f:
-            f.write(text)
-
-
 def _load_channel_section(config):
     if "channel" not in config:
         raise UsageError("config is missing the 'channel' section")
@@ -127,11 +122,13 @@ def _load_channel_section(config):
 def _run_pareto(inv):
     ch = _load_channel_section(inv.config)
     grid = inv.config.get("pareto", {}).get("grid", 200)
-    pair = [grid, grid] if not isinstance(grid, list) else grid
+    pair = grid if isinstance(grid, list) and len(grid) == 2 else [grid, grid]
     # each axis needs both of its ends, z = 0 and z = z_max
-    if len(pair) != 2 or not all(type(g) is int and g >= 2 for g in pair):
-        raise UsageError("pareto.grid must be an integer >= 2 or a pair "
-                         f"of them, got {grid!r}")
+    try:
+        for g in pair:
+            _check_count("pareto.grid", g, 2)
+    except ValueError as e:
+        raise UsageError(str(e))
     points = pareto_boundary(ch, grid=tuple(pair))
     export_boundary_csv(points, inv.output or sys.stdout)
     print(f"pareto: {len(points)} boundary points", file=sys.stderr)
@@ -144,21 +141,17 @@ def _run_ne(inv):
         cfg = IwfaConfig(**inv.config.get("ne", {}), rng_seed=inv.seed)
     except (TypeError, ValueError) as e:
         raise UsageError(f"malformed 'ne' section: {e}")
-    zero = (np.zeros((ch.M, ch.M)), np.zeros((ch.M, ch.M)))
-    trace = iwfa(ch, zero, cfg)
+    trace = iwfa(ch, np.zeros((2, ch.M, ch.M)), cfg)
     report = uniqueness_condition(ch)
     export_trace_csv(ch, trace, inv.output or sys.stdout)
-    payload = {"uniqueness": _jsonable(report),
+    payload = {"uniqueness": report,
                "converged": trace.converged,
                "iterations": trace.iterations,
                "cycle": trace.cycle,
-               "final_profile": {"Q1": _jsonable(trace.final[0]),
-                                 "Q2": _jsonable(trace.final[1])}}
-    if inv.output is None:
-        sys.stdout.write(json.dumps(payload, indent=1) + "\n")
-    else:
-        with open(inv.output + ".report.json", "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=1)
+               "final_profile": {"Q1": trace.final[0],
+                                 "Q2": trace.final[1]}}
+    _write_json(sys.stdout if inv.output is None
+                else inv.output + ".report.json", payload)
     print(f"ne: converged={trace.converged} after {trace.iterations} "
           f"iterations; cycle={trace.cycle}; uniqueness holds={report.holds}",
           file=sys.stderr)
@@ -171,7 +164,7 @@ def _run_ne(inv):
 def _run_uniqueness(inv):
     ch = _load_channel_section(inv.config)
     report = uniqueness_condition(ch)
-    _emit(json.dumps(_jsonable(report), indent=1) + "\n", inv.output)
+    _write_json(inv.output or sys.stdout, report)
     return 0
 
 
@@ -189,7 +182,7 @@ def _run_experiment(inv):
     result = run(spec)
     if inv.output is None:
         result.write_csv(sys.stdout)
-        print(json.dumps(result.metadata, sort_keys=True), file=sys.stderr)
+        _write_json(sys.stderr, result.metadata)
     else:
         result.write_csv(inv.output)
         print(f"experiment: wrote {inv.output} "
@@ -216,12 +209,8 @@ def dispatch(inv):
 
 def main(argv=None):
     try:
-        inv = parse_invocation(sys.argv[1:] if argv is None else argv)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        return dispatch(inv)
+        return dispatch(parse_invocation(sys.argv[1:] if argv is None
+                                         else argv))
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -6,25 +6,20 @@ ExperimentResult whose CSV rendering is byte-identical for a fixed spec.
 Monte Carlo averages carry standard errors.
 """
 
-import dataclasses
-import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .channel import (_complex_to_pairs, _link_rates, _receive, _write_csv,
-                      achievable_rate, db_to_linear, one_way_capacity,
+from .channel import (_check_count, _check_real, _effective_channel,
+                      _link_rates, _node_constants, _powers, _receive,
+                      _write_csv, _write_json, achievable_rate, db_to_linear, one_way_capacity,
                       sample_channel, tdma_sum_rate)
 from .linalg import sample_complex_gaussian
 from .nash import (IwfaConfig, circulant_uniqueness_probability, iwfa,
                    miso_ne)
 from .pareto import pareto_boundary, zf_beamforming
-
-EXPERIMENT_NAMES = ("rate_region", "ne_vs_tdma", "uniqueness_probability",
-                    "iwfa_convergence", "ber")
 
 _REQUIRED = {
     "rate_region": {"beta_db", "gamma_db_list"},
@@ -33,6 +28,7 @@ _REQUIRED = {
     "iwfa_convergence": {"gamma_db_list", "step_budgets", "trials"},
     "ber": {"snr_db_sweep", "bits_per_point"},
 }
+EXPERIMENT_NAMES = tuple(_REQUIRED)
 
 _DEFAULTS = {
     "rate_region": {"M": 3, "P": 1.0, "grid": 120},
@@ -49,38 +45,6 @@ _DEFAULTS = {
 # and a z grid needs both of its ends (z = 0 and z = z_max)
 _MIN_COUNTS = {"M": 1, "N": 1, "trials": 1, "bits_per_point": 2,
                "grid": 2, "boundary_grid": 2}
-
-
-def _check_count(key, value, least):
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < least):
-        raise ValueError(f"param {key!r} must be an integer >= {least}, "
-                         f"got {value!r}")
-
-
-def _check_real(key, value, positive=False):
-    low = 0.0 if positive else -math.inf
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not low < value < math.inf):
-        kind = "a positive finite number" if positive else "a finite number"
-        raise ValueError(f"param {key!r} must be {kind}, got {value!r}")
-
-
-def _iwfa_config(name, params):
-    """The IwfaConfig an IWFA experiment runs with (None for the others);
-    IwfaConfig itself validates delta and max_iter."""
-    if name == "ne_vs_tdma":
-        max_iter = params["max_iter"]
-    elif name == "iwfa_convergence":
-        budgets = params["step_budgets"]
-        if not budgets:
-            raise ValueError("param 'step_budgets' must not be empty")
-        for budget in budgets:
-            _check_count("step_budgets", budget, 1)
-        max_iter = max(budgets)
-    else:
-        return None
-    return IwfaConfig(delta=params["delta"], max_iter=max_iter)
 
 
 @dataclass
@@ -107,13 +71,23 @@ class ExperimentSpec:
                                  f"got {value!r}")
             if key.endswith(("_list", "_sweep")):     # dB values
                 for element in value:
-                    _check_real(key, element)
+                    _check_real(f"param {key!r}", element)
         for key, least in _MIN_COUNTS.items():
-            _check_count(key, merged.get(key, least), least)
+            _check_count(f"param {key!r}", merged.get(key, least), least)
         for key in ("P", "gamma_db", "beta_db"):  # beta_db None: ideal
             if key in merged and (key != "beta_db" or merged[key] is not None):
-                _check_real(key, merged[key], positive=key == "P")
-        self.iwfa_cfg = _iwfa_config(self.name, merged)
+                _check_real(f"param {key!r}", merged[key],
+                            positive=key == "P")
+        # IwfaConfig validates delta and max_iter
+        if self.name == "ne_vs_tdma":
+            self.iwfa_cfg = IwfaConfig(merged["delta"], merged["max_iter"])
+        elif self.name == "iwfa_convergence":
+            budgets = merged["step_budgets"]
+            if not budgets:
+                raise ValueError("param 'step_budgets' must not be empty")
+            for budget in budgets:
+                _check_count("param 'step_budgets'", budget, 1)
+            self.iwfa_cfg = IwfaConfig(merged["delta"], max(budgets))
         self.params = merged
 
 
@@ -129,9 +103,7 @@ class ExperimentResult:
         _write_csv(path_or_file, self.columns,
                    ([_fmt(v) for v in row] for row in self.rows))
         if not hasattr(path_or_file, "write"):
-            side = str(path_or_file) + ".meta.json"
-            with open(side, "w", encoding="utf-8") as f:
-                json.dump(self.metadata, f, indent=1, sort_keys=True)
+            _write_json(str(path_or_file) + ".meta.json", self.metadata)
 
 
 def _fmt(v):
@@ -141,26 +113,21 @@ def _fmt(v):
 
 
 def _metadata(spec):
-    return {"experiment": spec.name, "params": _jsonable(spec.params),
+    return {"experiment": spec.name, "params": dict(spec.params),
             "rng_seed": spec.rng_seed, "code_version": __version__}
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _complex_to_pairs(np.atleast_2d(obj))
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+def _mean_stderr(xs):
+    """Sample mean and its standard error (NaN where undefined)."""
+    mean = float(np.mean(xs)) if xs else float("nan")
+    se = (float(np.std(xs, ddof=1) / np.sqrt(len(xs)))
+          if len(xs) > 1 else float("nan"))
+    return mean, se
+
+
+def _binomial_stderr(p, n):
+    """Standard error of a proportion p over n trials, floored above 0."""
+    return float(np.sqrt(max(p * (1 - p), 1e-12) / n))
 
 
 def _stream(spec, *indices):
@@ -190,6 +157,21 @@ def _symmetric_channel(M, N, eta_direct, eta_self, beta, P, rng):
 
 # ---------------------------------------------------------------- regions
 
+def _beamformers(profile):
+    """The beamformers (w1, w2), w_i w_i^H = Q_i, of a rank-one profile."""
+    vals, vecs = np.linalg.eigh(np.stack(profile))
+    return tuple(vecs[..., -1] * np.sqrt(np.maximum(vals[:, -1:], 0.0)))
+
+
+def _zero_forcing(ch):
+    """The ZF beamformers (w1, w2) and None, or None and the reason zero
+    forcing is infeasible (M = 1 or parallel channels)."""
+    try:
+        return (zf_beamforming(ch, 1), zf_beamforming(ch, 2)), None
+    except ValueError as e:
+        return None, str(e)
+
+
 def _symmetric_miso_channel(M, P, beta, eta_direct, eta_self, rng):
     """Symmetric MISO channel with the direct channel normalized to unit
     norm (the standard rate-region setup)."""
@@ -211,7 +193,7 @@ def run_rate_region(spec):
         eta_direct = 1.0
         eta_self = eta_direct / gamma
         ch = _symmetric_miso_channel(M, P, beta, eta_direct, eta_self,
-                                     np.random.default_rng([spec.rng_seed, 0]))
+                                     _stream(spec, 0))
         for pt in pareto_boundary(ch, grid=(grid, grid)):
             rows.append([float(gamma_db), "boundary", pt.z1, pt.z2,
                          pt.r1, pt.r2])
@@ -222,12 +204,11 @@ def run_rate_region(spec):
         ne = miso_ne(ch)
         rows.append([float(gamma_db), "ne", float("nan"), float("nan"),
                      achievable_rate(ch, 1, ne), achievable_rate(ch, 2, ne)])
-        try:
-            w1, w2 = zf_beamforming(ch, 1), zf_beamforming(ch, 2)
-        except ValueError as e:     # M = 1 or parallel channels
-            zf_skipped[float(gamma_db)] = str(e)
+        zf, reason = _zero_forcing(ch)
+        if zf is None:
+            zf_skipped[float(gamma_db)] = reason
             continue
-        prof = (np.outer(w1, w1.conj()), np.outer(w2, w2.conj()))
+        prof = tuple(np.outer(w, w.conj()) for w in zf)
         rows.append([float(gamma_db), "zf", float("nan"), float("nan"),
                      achievable_rate(ch, 1, prof),
                      achievable_rate(ch, 2, prof)])
@@ -250,7 +231,7 @@ def run_ne_vs_tdma(spec):
     p = spec.params
     beta = _beta_linear(p["beta_db"])
     M, N, P = p["M"], p["N"], p["P"]
-    trials = int(p["trials"])
+    trials = p["trials"]
     rows, cyclic = [], []
     crossovers = {}
     for di, eta_d_db in enumerate(p["eta_direct_db_list"]):
@@ -264,8 +245,7 @@ def run_ne_vs_tdma(spec):
                 ch = _symmetric_channel(M, N, eta_d, eta_s, beta, P,
                                         _stream(spec, 1, di, si, t))
                 ch.H = {k: v / np.sqrt(M) for k, v in ch.H.items()}
-                init = (np.zeros((M, M)), np.zeros((M, M)))
-                tr = iwfa(ch, init, spec.iwfa_cfg)
+                tr = iwfa(ch, np.zeros((2, M, M)), spec.iwfa_cfg)
                 if not tr.converged:
                     excluded += 1
                     excluded_cyclic += tr.cycle is not None
@@ -273,12 +253,8 @@ def run_ne_vs_tdma(spec):
                 r1, r2 = _link_rates(ch, tr.final, (1, 2))
                 ne_rates.append(r1 + r2)
                 tdma_rates.append(tdma_sum_rate(ch))
-            ne_mean = float(np.mean(ne_rates)) if ne_rates else float("nan")
-            ne_se = (float(np.std(ne_rates, ddof=1) / np.sqrt(len(ne_rates)))
-                     if len(ne_rates) > 1 else float("nan"))
-            td_mean = float(np.mean(tdma_rates)) if tdma_rates else float("nan")
-            td_se = (float(np.std(tdma_rates, ddof=1) / np.sqrt(len(tdma_rates)))
-                     if len(tdma_rates) > 1 else float("nan"))
+            ne_mean, ne_se = _mean_stderr(ne_rates)
+            td_mean, td_se = _mean_stderr(tdma_rates)
             rows.append([float(eta_d_db), float(eta_s_db), ne_mean, ne_se,
                          td_mean, td_se, excluded])
             cyclic.append(excluded_cyclic)
@@ -323,7 +299,7 @@ def run_uniqueness_probability(spec):
     """Analytic uniqueness-probability curve plus its Monte Carlo check."""
     p = spec.params
     M = p["M"]
-    trials = int(p["trials"])
+    trials = p["trials"]
     rows = []
     for bi, beta_db in enumerate(p["beta_db_list"]):
         beta = float(db_to_linear(beta_db))
@@ -332,8 +308,8 @@ def run_uniqueness_probability(spec):
             analytic = circulant_uniqueness_probability(M, gamma, beta)
             rng = _stream(spec, 2, bi, gi)
             mc = _circulant_condition_mc(M, gamma, beta, trials, rng)
-            se = float(np.sqrt(max(mc * (1 - mc), 1e-12) / trials))
-            rows.append([float(beta_db), float(gamma_db), analytic, mc, se])
+            rows.append([float(beta_db), float(gamma_db), analytic, mc,
+                         _binomial_stderr(mc, trials)])
     return ExperimentResult(
         columns=["beta_db", "gamma_db", "p_analytic", "p_monte_carlo",
                  "mc_stderr"],
@@ -347,7 +323,7 @@ def run_iwfa_convergence(spec):
     p = spec.params
     beta = _beta_linear(p["beta_db"])
     M, N, P = p["M"], p["N"], p["P"]
-    trials = int(p["trials"])
+    trials = p["trials"]
     budgets = sorted(p["step_budgets"])
     rows = []
     for gi, gamma_db in enumerate(p["gamma_db_list"]):
@@ -358,14 +334,13 @@ def run_iwfa_convergence(spec):
         for t in range(trials):
             ch = _symmetric_channel(M, N, eta_d, eta_s, beta, P,
                                     _stream(spec, 3, gi, t))
-            tr = iwfa(ch, (np.zeros((M, M)), np.zeros((M, M))),
-                      spec.iwfa_cfg)
+            tr = iwfa(ch, np.zeros((2, M, M)), spec.iwfa_cfg)
             if tr.converged:
                 steps[t] = tr.iterations
         for X in budgets:
             prob = float(np.mean(steps <= X))
-            se = float(np.sqrt(max(prob * (1 - prob), 1e-12) / trials))
-            rows.append([float(gamma_db), X, prob, se])
+            rows.append([float(gamma_db), X, prob,
+                         _binomial_stderr(prob, trials)])
     return ExperimentResult(
         columns=["gamma_db", "step_budget", "p_converged", "stderr"],
         rows=rows, metadata=_metadata(spec))
@@ -393,7 +368,7 @@ def _gaussian_tail(x):
     return 0.5 * math.erfc(x * math.sqrt(0.5))
 
 
-def _qpsk_ber_one_direction(ch, w1, w2, n_symbols, rng):
+def _qpsk_ber_one_direction(ch, w1, Q2, n_symbols, rng):
     """Bit error rate of the node-1 -> node-2 transmission under
     simultaneous beamformed QPSK from both nodes.
 
@@ -404,7 +379,7 @@ def _qpsk_ber_one_direction(ch, w1, w2, n_symbols, rng):
     bits = rng.integers(0, 2, size=(n_symbols, 2))
     x1 = ((1 - 2 * bits[:, 0]) + 1j * (1 - 2 * bits[:, 1])) / np.sqrt(2)
     # node 2 also transmits (its symbols only matter through its front-end noise)
-    _, _, y = _receive(ch, 2, np.outer(w2, w2.conj()), x1[:, None] * w1, rng)
+    _, _, y = _receive(ch, 2, Q2, x1[:, None] * w1, rng)
     g = np.sqrt(ch.eta[(1, 2)]) * np.vdot(ch.h(1, 2), w1)
     z = y[:, 0] * np.conj(g) / abs(g)   # phase-align; quadrant decision
     est = np.stack([(z.real < 0).astype(int), (z.imag < 0).astype(int)],
@@ -412,56 +387,53 @@ def _qpsk_ber_one_direction(ch, w1, w2, n_symbols, rng):
     return int(np.sum(est != bits)), 2 * n_symbols
 
 
-def _max_sum_rate_weights(ch, grid):
-    pts = pareto_boundary(ch, grid=(grid, grid))
-    best = max(pts, key=lambda q: q.r1 + q.r2)
-    vals1, vecs1 = np.linalg.eigh(best.Q1)
-    vals2, vecs2 = np.linalg.eigh(best.Q2)
-    w1 = vecs1[:, -1] * np.sqrt(max(vals1[-1], 0.0))
-    w2 = vecs2[:, -1] * np.sqrt(max(vals2[-1], 0.0))
-    return w1, w2
-
-
 def run_ber(spec):
-    """QPSK BER versus SNR for the max-sum-rate, NE and ZF strategies."""
+    """QPSK BER versus SNR for the max-sum-rate, NE and ZF strategies;
+    the metadata gives the reason for each strategy left out at an SNR."""
     p = spec.params
     beta = _beta_linear(p["beta_db"])
     gamma = float(db_to_linear(p["gamma_db"]))
-    M, P = p["M"], p["P"]
-    n_symbols = int(p["bits_per_point"]) // 2
+    M, P, grid = p["M"], p["P"], p["boundary_grid"]
+    n_symbols = p["bits_per_point"] // 2
     rows = []
-    zf_skipped = {}
+    zf_skipped, optimal_skipped = {}, {}
     for si, snr_db in enumerate(p["snr_db_sweep"]):
         eta_d = float(db_to_linear(snr_db)) / P
         eta_s = eta_d / gamma
         ch = _symmetric_miso_channel(M, P, beta, eta_d, eta_s,
-                                     np.random.default_rng([spec.rng_seed, 4]))
-        ne = miso_ne(ch)
-        vals, vecs = np.linalg.eigh(ne[0])
-        w_ne = vecs[:, -1] * np.sqrt(max(vals[-1], 0.0))
-        strategies = {"ne": (w_ne, w_ne)}
-        try:
-            w_zf = zf_beamforming(ch, 1)
-            strategies["zf"] = (w_zf, zf_beamforming(ch, 2))
-        except ValueError as e:
-            zf_skipped[float(snr_db)] = str(e)
-        if beta > 0:
-            strategies["optimal"] = _max_sum_rate_weights(
-                ch, p["boundary_grid"])
+                                     _stream(spec, 4))
+        ne = _beamformers(miso_ne(ch))
+        strategies = {"ne": ne}
+        zf, reason = _zero_forcing(ch)
+        if zf is None:
+            zf_skipped[float(snr_db)] = reason
         else:
-            strategies["optimal"] = (w_ne, w_ne)
+            strategies["zf"] = zf
+        optimal = ne
+        if beta > 0:
+            best = max(pareto_boundary(ch, grid=(grid, grid)),
+                       key=lambda q: q.r1 + q.r2)
+            optimal = _beamformers((best.Q1, best.Q2))
+        if optimal[0].any():
+            strategies["optimal"] = optimal
+        else:
+            optimal_skipped[float(snr_db)] = (
+                "node 1 is silent at the max-sum-rate boundary point")
         for name in sorted(strategies):
             w1, w2 = strategies[name]
+            Q2 = np.outer(w2, w2.conj())
             rng = _stream(spec, 5, si, {"ne": 0, "zf": 1, "optimal": 2}[name])
-            errs, nbits = _qpsk_ber_one_direction(ch, w1, w2, n_symbols, rng)
+            errs, nbits = _qpsk_ber_one_direction(ch, w1, Q2, n_symbols, rng)
             lo, hi = wilson_interval(errs, nbits)
-            g2 = ch.eta[(1, 2)] * abs(np.vdot(ch.h(1, 2), w1)) ** 2
-            sigma2 = 1.0 + ch.beta * ch.eta[(2, 2)] * float(
-                (np.abs(ch.h(2, 2)) ** 2 * np.abs(w2) ** 2).sum())
-            analytic = _gaussian_tail(math.sqrt(g2 / sigma2))
+            # Gaussian approximation at the SINR w1^H W w1 of the N = 1
+            # link 1 -> 2, W its effective channel against node 2's Q2
+            W = _effective_channel(_node_constants(ch, (1,)),
+                                   _powers(Q2)[None])[0]
+            analytic = _gaussian_tail(math.sqrt(np.vdot(w1, W @ w1).real))
             rows.append([float(snr_db), name, errs / nbits, lo, hi,
                          analytic, nbits])
     return ExperimentResult(
         columns=["snr_db", "strategy", "ber", "wilson_lo", "wilson_hi",
                  "ber_gaussian_approx", "bits"],
-        rows=rows, metadata=dict(_metadata(spec), zf_skipped=zf_skipped))
+        rows=rows, metadata=dict(_metadata(spec), zf_skipped=zf_skipped,
+                                 optimal_skipped=optimal_skipped))

@@ -3,14 +3,13 @@ water-filling (sync and async), Nash-equilibrium uniqueness conditions
 and contraction diagnostics.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (_effective_channel, _herm, _log2det, _node_constants,
-                      _powers, _strategies, _write_csv, achievable_rate,
-                      other)
+from .channel import (_check_count, _check_real, _effective_channel, _herm,
+                      _log2det, _node_constants, _powers, _strategies,
+                      _write_csv, achievable_rate, other)
 from .linalg import (pseudo_inverse, spectral_radius, water_fill,
                      weighted_max_norm)
 
@@ -85,13 +84,8 @@ class IwfaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.delta, numbers.Real) and self.delta > 0):
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if (isinstance(self.max_iter, bool)
-                or not isinstance(self.max_iter, (int, np.integer))
-                or self.max_iter < 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got "
-                             f"{self.max_iter!r}")
+        _check_real("delta", self.delta, positive=True)
+        _check_count("max_iter", self.max_iter, 1)
         if not (0.0 <= self.miss_probability < 1.0):
             raise ValueError("miss_probability must be in [0, 1)")
         if self.mode not in ("synchronous", "asynchronous"):

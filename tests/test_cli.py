@@ -36,14 +36,14 @@ def experiment_config(tmp_path):
 
 class TestParseInvocation:
     def test_basic(self, channel_config):
-        inv = parse_invocation(["pareto", "--config", str(channel_config),
+        inv = parse_invocation(["ne", "--config", str(channel_config),
                                 "--seed", "7"])
-        assert inv.command == "pareto"
+        assert inv.command == "ne"
         assert inv.seed == 7
         assert inv.config["pareto"]["grid"] == 12
 
     def test_default_seed_fixed(self, channel_config):
-        inv = parse_invocation(["pareto", "--config", str(channel_config)])
+        inv = parse_invocation(["ne", "--config", str(channel_config)])
         assert inv.seed == DEFAULT_SEED
 
     def test_set_override(self, experiment_config):
@@ -79,6 +79,17 @@ class TestParseInvocation:
         with pytest.raises(SystemExit) as exc:
             parse_invocation(["pareto", "--config", str(channel_config),
                               "--frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["pareto", "uniqueness"])
+    @pytest.mark.parametrize("flags", [["--seed", "7"],
+                                       ["--require-convergence"]])
+    def test_unseeded_commands_reject_seed_options(self, channel_config,
+                                                   command, flags):
+        # pareto and uniqueness draw no random numbers and run no IWFA
+        with pytest.raises(SystemExit) as exc:
+            parse_invocation([command, "--config", str(channel_config),
+                              *flags])
         assert exc.value.code == 2
 
 
@@ -206,6 +217,8 @@ def _as_is(channel_config):
     ("pareto", _as_is, ["pareto.grid=1"]),
     ("pareto", _as_is, ["pareto.grid=[1, 5]"]),
     ("ne", _with_ne, ["ne.max_iters=3"]),
+    ("ne", _with_ne, ["ne.delta=Infinity"]),
+    ("experiment", lambda _: _ne_vs_tdma(), ["delta=1e999"]),
 ], ids=["pareto-no-eta", "uniqueness-no-eta", "scalar-sweep",
         "negative-bits", "negative-grid", "string-grid", "zero-grid-pair",
         "negative-delta", "unknown-mode", "fractional-max-iter",
@@ -216,7 +229,8 @@ def _as_is(channel_config):
         "zero-N", "string-sweep-element", "fractional-region-grid",
         "null-list-element", "zero-region-grid", "string-beta-db",
         "one-point-boundary-grid", "infinite-gamma-db", "one-point-grid",
-        "one-point-grid-pair", "unknown-ne-key"])
+        "one-point-grid-pair", "unknown-ne-key", "infinite-delta",
+        "experiment-infinite-delta"])
 def test_malformed_config_exits_2(command, make_config, overrides,
                                   channel_config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
@@ -241,3 +255,23 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_example_config_runs(tmp_path):
+    # the README's example config, its placeholder H replaced by sampled
+    # matrices, runs as documented and uses the keys save_channel writes
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("Example config:\n\n```json\n", 1)[1]
+    cfg = json.loads(block.split("```", 1)[0])
+    section = cfg["channel"]
+    sampled = channel_to_dict(sample_channel(
+        section["M"], section["N"], {(i, j): 1.0 for i in (1, 2)
+                                     for j in (1, 2)},
+        0.0, {1: 1.0, 2: 1.0}, np.random.default_rng(0)))
+    assert set(section) == set(sampled)
+    section["H"] = sampled["H"]
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "boundary.csv"
+    assert main(["pareto", "--config", str(path), "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) > 1

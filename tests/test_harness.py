@@ -189,6 +189,21 @@ class TestBer:
         assert ours == pytest.approx([row[5] for row in run_ber(spec).rows],
                                      rel=1e-13, abs=0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_silent_node_one_has_no_optimal_row(self):
+        # the max-sum-rate boundary point of this channel has z1 = 0: node 1
+        # sends nothing, so node 2 has no signal to detect
+        spec = ExperimentSpec("ber", {"M": 2, "beta_db": -30.0,
+                                      "gamma_db": -40.0,
+                                      "snr_db_sweep": [0.0, 5.0],
+                                      "bits_per_point": 4002},
+                              rng_seed=2002)
+        res = run_ber(spec)
+        assert [(r[0], r[1]) for r in res.rows] == [
+            (0.0, "ne"), (0.0, "zf"), (5.0, "ne"), (5.0, "zf")]
+        assert set(res.metadata["optimal_skipped"]) == {0.0, 5.0}
+        assert "silent" in res.metadata["optimal_skipped"][0.0]
+
     def test_strategy_ordering(self):
         spec = ExperimentSpec("ber", {"snr_db_sweep": [8.0],
                                       "bits_per_point": 60000}, rng_seed=7)

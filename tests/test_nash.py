@@ -155,8 +155,9 @@ class TestIwfa:
         assert tr.iterations <= 3
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IwfaConfig(delta=0.0)
+        for delta in (0.0, float("inf")):
+            with pytest.raises(ValueError):
+                IwfaConfig(delta=delta)
         with pytest.raises(ValueError):
             IwfaConfig(miss_probability=1.0)
         with pytest.raises(ValueError):
