@@ -50,12 +50,12 @@ class FdChannelModel:
             raise ValueError(f"channel matrices disagree in shape: {shapes}")
         self.N, self.M = next(iter(shapes.values()))
         self.H = {k: np.asarray(v, dtype=complex) for k, v in self.H.items()}
-        if any(e <= 0 for e in self.eta.values()):
-            raise ValueError("all eta must be positive")
+        if set(self.eta) != set(self.H) or min(self.eta.values()) <= 0:
+            raise ValueError("eta must hold a positive gain per link (i,j)")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if any(p <= 0 for p in self.P.values()):
-            raise ValueError("power budgets must be positive")
+        if set(self.P) != {1, 2} or min(self.P.values()) <= 0:
+            raise ValueError("P must hold positive budgets of nodes 1 and 2")
 
     def gamma(self, i):
         """Direct-to-self-interference gain ratio eta_ji / eta_ii."""
@@ -300,18 +300,63 @@ def _write_json(path_or_file, obj):
         _write_json(f, obj)
 
 
-def _check_count(name, value, least):
-    """Raise ValueError unless value is an integer >= least, not a bool."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < least):
-        raise ValueError(f"{name} must be an integer >= {least}, "
-                         f"got {value!r}")
+REQUIRED = object()     # the default of a key that its section must give
 
 
-def _check_real(name, value, positive=False):
-    """Raise ValueError unless value is a finite real, > 0 if positive."""
-    low = 0.0 if positive else -math.inf
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not low < value < math.inf):
-        kind = "a positive finite number" if positive else "a finite number"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
+def _check_value(name, kind, value):
+    """Raise ValueError unless value is of the kind: an int n (an integer
+    >= n, not a bool), "real" (finite), "positive" (finite real > 0),
+    "optional" (real, or None for an ideal front end), "reals" (a list of
+    reals), "counts" (a non-empty list of integers >= 1), "grid" (an
+    integer >= 2 or a pair of them, so that each z axis holds both of its
+    ends) or a tuple of the values allowed."""
+    if kind in ("reals", "counts", "grid"):
+        if kind == "grid" and not (isinstance(value, list)
+                                   and len(value) == 2):
+            value = [value]     # one integer for both axes
+        elif (not isinstance(value, (list, tuple))
+              or kind == "counts" and not value):
+            what = "a non-empty list" if kind == "counts" else "a list"
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        for element in value:
+            _check_value(name, {"reals": "real", "counts": 1, "grid": 2}[kind],
+                         element)
+    elif isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"{name} must be one of {kind}, got {value!r}")
+    elif isinstance(kind, int):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < kind):
+            raise ValueError(f"{name} must be an integer >= {kind}, "
+                             f"got {value!r}")
+    elif value is not None or kind != "optional":
+        low = 0.0 if kind == "positive" else -math.inf
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not low < value < math.inf):
+            raise ValueError(f"{name} must be a {'positive ' * (low == 0)}"
+                             f"finite number, got {value!r}")
+
+
+def _check_section(where, section, table):
+    """The config section `section` with the defaults of `table` filled in.
+
+    `table` maps each key to (kind, default): a _check_value kind, or None
+    where the caller checks the value, and REQUIRED for a key without a
+    default. Raises ValueError for a section that is not a dict, an
+    unknown or missing key, or a bad value.
+    """
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} takes a JSON object of params, "
+                         f"got {section!r}")
+    for key, value in section.items():
+        if key not in table:
+            raise ValueError(f"{where} has the unknown param {key!r}; "
+                             f"expected one of {sorted(table)}")
+        if table[key][0] is not None:
+            _check_value(f"{where} param {key!r}", table[key][0], value)
+    merged = {key: default for key, (_, default) in table.items()
+              if default is not REQUIRED} | section
+    if len(merged) < len(table):
+        raise ValueError(f"{where} missing params: "
+                         f"{sorted(table.keys() - merged.keys())}")
+    return merged

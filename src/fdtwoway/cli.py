@@ -10,15 +10,14 @@ Exit codes: 0 success, 1 numerical failure (e.g. non-convergence under
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .channel import _check_count, _write_json, channel_from_dict
-from .harness import ExperimentSpec, run
+from .channel import _check_section, _write_json, channel_from_dict
+from .harness import EXPERIMENT, ExperimentSpec, run
 from .nash import IwfaConfig, export_trace_csv, iwfa, uniqueness_condition
 from .pareto import export_boundary_csv, pareto_boundary
 
@@ -26,53 +25,45 @@ DEFAULT_SEED = 12345
 
 COMMANDS = ("pareto", "ne", "uniqueness", "experiment")
 
-
-@dataclasses.dataclass
-class CliInvocation:
-    command: str
-    config: dict
-    seed: int
-    output: str
-    require_convergence: bool
+# {key: (kind, default)} of the top level, whose other keys pass so that one
+# config serves every command, and of the sections parse_invocation checks
+TOP_LEVEL = {"seed": (0, DEFAULT_SEED)}
+SECTIONS = {"pareto": {"grid": ("grid", 200)}, "experiment": EXPERIMENT}
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_override(text):
-    if "=" not in text:
+def _apply_override(config, command, text):
+    """Apply `--set key=value`, the value read as JSON or else as a string.
+    The key is dotted; unqualified keys resolve inside the command's
+    section (experiment keys fall through to its params). Only keys that
+    already exist may be overridden."""
+    key, equals, raw = text.partition("=")
+    if not equals:
         raise UsageError(f"override {text!r} is not key=value")
-    key, _, raw = text.partition("=")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key, value
-
-
-def _apply_override(config, command, key, value):
-    """Set a dotted key; unqualified keys resolve inside the command's
-    section (experiment keys fall through to its params). Only keys that
-    already exist may be overridden."""
     parts = key.split(".")
-    if len(parts) == 1:
-        section = config.setdefault(command, {})
-        if command == "experiment" and parts[0] not in section:
-            section = section.setdefault("params", {})
-        section[parts[0]] = value
-        return
     node = config
+    if len(parts) == 1:
+        node = config.setdefault(command, {})
+        if (command == "experiment" and isinstance(node, dict)
+                and key not in node):
+            node = node.setdefault("params", {})
     for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise UsageError(f"override path {key!r} not in config")
-        node = node[p]
+        node = node.get(p) if isinstance(node, dict) else None
     if not isinstance(node, dict):
         raise UsageError(f"override path {key!r} not in config")
     node[parts[-1]] = value
 
 
 def parse_invocation(argv):
+    """The parsed arguments; `config` is the loaded config, its command's
+    section checked and filled in, and `seed` the seed of the run."""
     parser = argparse.ArgumentParser(
         prog="fdtwoway",
         description="Optimal signaling for two-way full-duplex channels")
@@ -97,15 +88,23 @@ def parse_invocation(argv):
     except json.JSONDecodeError as e:
         raise UsageError(f"config parse error at line {e.lineno}, "
                          f"column {e.colno}: {e.msg}")
+    if not isinstance(config, dict):
+        raise UsageError(f"config must be a JSON object, got {config!r}")
     for item in args.overrides:
-        key, value = _parse_override(item)
-        _apply_override(config, args.command, key, value)
-    seed = args.seed
-    if seed is None:
-        seed = config.get("seed", DEFAULT_SEED)
-    return CliInvocation(command=args.command, config=config, seed=seed,
-                         output=args.output,
-                         require_convergence=args.require_convergence)
+        _apply_override(config, args.command, item)
+    if args.seed is not None:
+        config["seed"] = args.seed
+    try:
+        top = {key: config[key] for key in config.keys() & TOP_LEVEL}
+        args.seed = _check_section("config", top, TOP_LEVEL)["seed"]
+        if args.command in SECTIONS:
+            config[args.command] = _check_section(
+                args.command, config.get(args.command, {}),
+                SECTIONS[args.command])
+    except ValueError as e:
+        raise UsageError(str(e))
+    args.config = config
+    return args
 
 
 def _load_channel_section(config):
@@ -121,15 +120,9 @@ def _load_channel_section(config):
 
 def _run_pareto(inv):
     ch = _load_channel_section(inv.config)
-    grid = inv.config.get("pareto", {}).get("grid", 200)
-    pair = grid if isinstance(grid, list) and len(grid) == 2 else [grid, grid]
-    # each axis needs both of its ends, z = 0 and z = z_max
-    try:
-        for g in pair:
-            _check_count("pareto.grid", g, 2)
-    except ValueError as e:
-        raise UsageError(str(e))
-    points = pareto_boundary(ch, grid=tuple(pair))
+    grid = inv.config["pareto"]["grid"]
+    points = pareto_boundary(ch, grid=tuple(grid) if isinstance(grid, list)
+                             else (grid, grid))
     export_boundary_csv(points, inv.output or sys.stdout)
     print(f"pareto: {len(points)} boundary points", file=sys.stderr)
     return 0
@@ -169,14 +162,8 @@ def _run_uniqueness(inv):
 
 
 def _run_experiment(inv):
-    section = inv.config.get("experiment")
-    if not isinstance(section, dict) or "name" not in section:
-        raise UsageError("config is missing an 'experiment' section "
-                         "with a 'name'")
-    params = dict(section.get("params", {}))
     try:
-        spec = ExperimentSpec(name=section["name"], params=params,
-                              rng_seed=inv.seed)
+        spec = ExperimentSpec(**inv.config["experiment"], rng_seed=inv.seed)
     except ValueError as e:
         raise UsageError(str(e))
     result = run(spec)

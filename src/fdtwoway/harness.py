@@ -12,39 +12,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import (_check_count, _check_real, _effective_channel,
+from .channel import (REQUIRED, _check_section, _effective_channel,
                       _link_rates, _node_constants, _powers, _receive,
-                      _write_csv, _write_json, achievable_rate, db_to_linear, one_way_capacity,
-                      sample_channel, tdma_sum_rate)
+                      _write_csv, _write_json, achievable_rate, db_to_linear,
+                      one_way_capacity, sample_channel, tdma_sum_rate)
 from .linalg import sample_complex_gaussian
 from .nash import (IwfaConfig, circulant_uniqueness_probability, iwfa,
                    miso_ne)
 from .pareto import pareto_boundary, zf_beamforming
 
-_REQUIRED = {
-    "rate_region": {"beta_db", "gamma_db_list"},
-    "ne_vs_tdma": {"eta_direct_db_list", "eta_self_db_sweep", "trials"},
-    "uniqueness_probability": {"beta_db_list", "gamma_db_sweep", "trials"},
-    "iwfa_convergence": {"gamma_db_list", "step_budgets", "trials"},
-    "ber": {"snr_db_sweep", "bits_per_point"},
+# Each experiment's params: {key: (kind, default or REQUIRED)}, with the
+# kinds of channel._check_value. A BER point needs one QPSK symbol (two
+# bits), a z grid both of its ends; IwfaConfig checks delta and max_iter.
+_MIMO = {"M": (1, 3), "N": (1, 3), "P": ("positive", 10.0),
+         "beta_db": ("optional", -60.0), "delta": (None, 1e-8)}
+EXPERIMENTS = {
+    "rate_region": {"beta_db": ("optional", REQUIRED),
+                    "gamma_db_list": ("reals", REQUIRED),
+                    "M": (1, 3), "P": ("positive", 1.0), "grid": (2, 120)},
+    "ne_vs_tdma": {**_MIMO, "eta_direct_db_list": ("reals", REQUIRED),
+                   "eta_self_db_sweep": ("reals", REQUIRED),
+                   "trials": (1, REQUIRED), "max_iter": (None, 500)},
+    "uniqueness_probability": {"beta_db_list": ("reals", REQUIRED),
+                               "gamma_db_sweep": ("reals", REQUIRED),
+                               "trials": (1, REQUIRED), "M": (1, 3)},
+    "iwfa_convergence": {**_MIMO, "gamma_db_list": ("reals", REQUIRED),
+                         "step_budgets": ("counts", REQUIRED),
+                         "trials": (1, REQUIRED)},
+    "ber": {"snr_db_sweep": ("reals", REQUIRED),
+            "bits_per_point": (2, REQUIRED), "M": (1, 3),
+            "P": ("positive", 1.0), "beta_db": ("optional", -60.0),
+            "gamma_db": ("real", -40.0), "boundary_grid": (2, 60)},
 }
-EXPERIMENT_NAMES = tuple(_REQUIRED)
-
-_DEFAULTS = {
-    "rate_region": {"M": 3, "P": 1.0, "grid": 120},
-    "ne_vs_tdma": {"M": 3, "N": 3, "P": 10.0, "beta_db": -60.0,
-                   "delta": 1e-8, "max_iter": 500},
-    "uniqueness_probability": {"M": 3},
-    "iwfa_convergence": {"M": 3, "N": 3, "P": 10.0, "beta_db": -60.0,
-                         "delta": 1e-8},
-    "ber": {"M": 3, "P": 1.0, "beta_db": -60.0, "gamma_db": -40.0,
-            "boundary_grid": 60},
-}
-
-# integer counts; a BER point needs at least one QPSK symbol (two bits),
-# and a z grid needs both of its ends (z = 0 and z = z_max)
-_MIN_COUNTS = {"M": 1, "N": 1, "trials": 1, "bits_per_point": 2,
-               "grid": 2, "boundary_grid": 2}
+# the config's `experiment` section; the experiment's table checks params
+EXPERIMENT = {"name": (tuple(EXPERIMENTS), REQUIRED), "params": (None, {})}
 
 
 @dataclass
@@ -55,40 +56,13 @@ class ExperimentSpec:
     iwfa_cfg: IwfaConfig = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.name not in EXPERIMENT_NAMES:
-            raise ValueError(f"unknown experiment {self.name!r}; "
-                             f"expected one of {EXPERIMENT_NAMES}")
-        missing = _REQUIRED[self.name] - set(self.params)
-        if missing:
-            raise ValueError(f"experiment {self.name!r} missing params: "
-                             f"{sorted(missing)}")
-        merged = dict(_DEFAULTS[self.name])
-        merged.update(self.params)
-        for key, value in merged.items():
-            if (key.endswith(("_list", "_sweep", "_budgets"))
-                    and not isinstance(value, (list, tuple))):
-                raise ValueError(f"param {key!r} must be a list, "
-                                 f"got {value!r}")
-            if key.endswith(("_list", "_sweep")):     # dB values
-                for element in value:
-                    _check_real(f"param {key!r}", element)
-        for key, least in _MIN_COUNTS.items():
-            _check_count(f"param {key!r}", merged.get(key, least), least)
-        for key in ("P", "gamma_db", "beta_db"):  # beta_db None: ideal
-            if key in merged and (key != "beta_db" or merged[key] is not None):
-                _check_real(f"param {key!r}", merged[key],
-                            positive=key == "P")
-        # IwfaConfig validates delta and max_iter
+        _check_section("experiment", {"name": self.name}, EXPERIMENT)
+        p = self.params = _check_section(f"experiment {self.name!r}",
+                                         self.params, EXPERIMENTS[self.name])
         if self.name == "ne_vs_tdma":
-            self.iwfa_cfg = IwfaConfig(merged["delta"], merged["max_iter"])
+            self.iwfa_cfg = IwfaConfig(p["delta"], p["max_iter"])
         elif self.name == "iwfa_convergence":
-            budgets = merged["step_budgets"]
-            if not budgets:
-                raise ValueError("param 'step_budgets' must not be empty")
-            for budget in budgets:
-                _check_count("param 'step_budgets'", budget, 1)
-            self.iwfa_cfg = IwfaConfig(merged["delta"], max(budgets))
-        self.params = merged
+            self.iwfa_cfg = IwfaConfig(p["delta"], max(p["step_budgets"]))
 
 
 @dataclass

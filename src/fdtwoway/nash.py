@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (_check_count, _check_real, _effective_channel, _herm,
+from .channel import (_check_value, _effective_channel, _herm,
                       _log2det, _node_constants, _powers, _strategies,
                       _write_csv, achievable_rate, other)
 from .linalg import (pseudo_inverse, spectral_radius, water_fill,
@@ -84,12 +84,11 @@ class IwfaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        _check_real("delta", self.delta, positive=True)
-        _check_count("max_iter", self.max_iter, 1)
+        _check_value("delta", "positive", self.delta)
+        _check_value("max_iter", 1, self.max_iter)
         if not (0.0 <= self.miss_probability < 1.0):
             raise ValueError("miss_probability must be in [0, 1)")
-        if self.mode not in ("synchronous", "asynchronous"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        _check_value("mode", ("synchronous", "asynchronous"), self.mode)
 
 
 @dataclass

@@ -20,7 +20,6 @@ EPS_BISECT_RTOL = 1e-12
 POWER_RTOL = 1e-10
 CERTIFICATE_TOL = 1e-6
 RANK_REDUCE_RTOL = 1e-9
-RANK_ONE_RATIO = 1e-8
 
 
 @dataclass
@@ -223,11 +222,6 @@ def rank_reduce(Q_opt, prob):
     if np.trace(R).real > np.trace(Q).real * (1 + RANK_REDUCE_RTOL):
         raise ArithmeticError("reduction increased the transmit power")
     return R
-
-
-def is_rank_one(Q):
-    vals = np.sort(np.linalg.eigvalsh((Q + Q.conj().T) / 2))[::-1]
-    return vals[0] > 0 and vals[1] <= RANK_ONE_RATIO * vals[0]
 
 
 def _nondominated(r1, r2):

@@ -5,6 +5,7 @@ import numpy as np
 
 PSD_TOL = 1e-8
 TRACE_TOL = 1e-8
+RANK_ONE_RATIO = 1e-8
 
 
 def check_covariance(Q, power_budget):
@@ -17,3 +18,8 @@ def check_covariance(Q, power_budget):
     if tr > power_budget * (1 + TRACE_TOL):
         raise ValueError(f"trace(Q) = {tr:.6g} exceeds budget {power_budget}")
     return Q
+
+
+def is_rank_one(Q):
+    vals = np.sort(np.linalg.eigvalsh((Q + Q.conj().T) / 2))[::-1]
+    return vals[0] > 0 and vals[1] <= RANK_ONE_RATIO * vals[0]

@@ -15,7 +15,8 @@ from fdtwoway.nash import (IwfaConfig, best_response, contraction_check,
                            counterexample_channel, counterexample_probe_pairs,
                            iwfa, uniqueness_condition)
 from fdtwoway.pareto import (DecoupledProblem, epsilon_zero_condition,
-                             is_rank_one, optimal_beamforming, rank_reduce)
+                             optimal_beamforming, rank_reduce)
+from covariance_checks import is_rank_one
 
 
 def _cgauss(rng, *shape):

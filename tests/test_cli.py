@@ -183,6 +183,22 @@ def _as_is(channel_config):
     return json.loads(channel_config.read_text())
 
 
+def _with(**keys):
+    return lambda channel_config: dict(_as_is(channel_config), **keys)
+
+
+def _channel_without(field, key):
+    def make(channel_config):
+        cfg = _as_is(channel_config)
+        del cfg["channel"][field][key]
+        return cfg
+    return make
+
+
+def _experiment(name, params):
+    return lambda _: {"experiment": {"name": name, "params": params}}
+
+
 @pytest.mark.parametrize("command, make_config, overrides", [
     ("pareto", _without_eta, []),
     ("uniqueness", _without_eta, []),
@@ -219,6 +235,22 @@ def _as_is(channel_config):
     ("ne", _with_ne, ["ne.max_iters=3"]),
     ("ne", _with_ne, ["ne.delta=Infinity"]),
     ("experiment", lambda _: _ne_vs_tdma(), ["delta=1e999"]),
+    ("pareto", _with(pareto=5), []),
+    ("pareto", _with(pareto={"gird": 3}), []),
+    ("experiment", _experiment("ne_vs_tdma", [1, 2]), []),
+    ("experiment", _experiment("ne_vs_tdma", "x"), []),
+    ("experiment", _experiment("uniqueness_probability", {
+        "beta_db_list": [-40.0], "gamma_db_sweep": [0.0], "trials": 5,
+        "typo_key": 7}), []),
+    ("experiment", lambda _: _ne_vs_tdma(), ["max_iters=7"]),
+    ("pareto", lambda _: [1, 2], []),
+    ("ne", _with(seed="abc"), []),
+    ("ne", _with(seed=-1), []),
+    ("ne", _with(seed=1.5), []),
+    ("experiment", lambda _: _ne_vs_tdma(), ["--seed -1"]),
+    ("pareto", _channel_without("P", "2"), []),
+    ("pareto", _channel_without("eta_db", "12"), []),
+    ("pareto", _with(pareto=5), ["grid=3"]),
 ], ids=["pareto-no-eta", "uniqueness-no-eta", "scalar-sweep",
         "negative-bits", "negative-grid", "string-grid", "zero-grid-pair",
         "negative-delta", "unknown-mode", "fractional-max-iter",
@@ -230,14 +262,19 @@ def _as_is(channel_config):
         "null-list-element", "zero-region-grid", "string-beta-db",
         "one-point-boundary-grid", "infinite-gamma-db", "one-point-grid",
         "one-point-grid-pair", "unknown-ne-key", "infinite-delta",
-        "experiment-infinite-delta"])
+        "experiment-infinite-delta", "pareto-not-object",
+        "pareto-unknown-key", "params-list", "params-string",
+        "unknown-param", "unqualified-set-typo", "config-list",
+        "string-seed", "negative-seed", "fractional-seed",
+        "negative-seed-flag", "pareto-no-P2", "pareto-no-eta12",
+        "set-into-non-object-section"])
 def test_malformed_config_exits_2(command, make_config, overrides,
                                   channel_config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(make_config(channel_config)))
     argv = [command, "--config", str(cfg)]
-    for item in overrides:
-        argv += ["--set", item]
+    for item in overrides:   # a flag and its value, or a --set override
+        argv += item.split() if item.startswith("--") else ["--set", item]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
