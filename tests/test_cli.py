@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdtwoway.channel import channel_to_dict, sample_channel
+from fdtwoway.channel import REQUIRED, channel_to_dict, sample_channel
 from fdtwoway.cli import (DEFAULT_SEED, UsageError, main, parse_invocation)
+from fdtwoway.harness import EXPERIMENTS
 
 
 @pytest.fixture
@@ -312,3 +314,19 @@ def test_readme_example_config_runs(tmp_path):
     out = tmp_path / "boundary.csv"
     assert main(["pareto", "--config", str(path), "--output", str(out)]) == 0
     assert len(out.read_text().splitlines()) > 1
+
+
+def test_readme_lists_experiment_params():
+    # the README's table of required params and defaults per experiment
+    # is the one in harness.EXPERIMENTS
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for name, table in EXPERIMENTS.items():
+        row = next(line for line in readme.splitlines()
+                   if line.startswith(f"| `{name}` |"))
+        _, _, required, defaults, _ = row.split("|")
+        assert re.findall(r"`(\w+)`", required) == [
+            key for key, (_, default) in table.items() if default is REQUIRED]
+        assert {key: float(value) for key, value
+                in re.findall(r"`(\w+)` ([-\d.e]+)", defaults)} == {
+            key: default for key, (_, default) in table.items()
+            if default is not REQUIRED}
