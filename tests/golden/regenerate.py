@@ -1,6 +1,7 @@
 """Golden seeded outputs: small runs of every experiment and of the
 `pareto` and `ne` commands, whose bytes tests/test_golden.py compares
-against the files in this directory.
+against the files in this directory, and the CSV of the AC8 acceptance
+sweep, which tests/test_acceptance.py compares.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -21,6 +22,7 @@ from fdtwoway.harness import ExperimentSpec, run
 
 GOLDEN = Path(__file__).resolve().parent
 SEED = 42
+AC8_CSV = "ac08_ne_vs_tdma.csv"
 
 EXPERIMENTS = {
     "rate_region": {"beta_db": -40.0, "gamma_db_list": [-20.0, -60.0],
@@ -47,6 +49,23 @@ def _channel_config(N):
             "pareto": {"grid": 30}}
 
 
+def ac08_spec():
+    """The AC8 sweep: NE vs TDMA across the crossover, 7,200 IWFA trials."""
+    return ExperimentSpec(
+        name="ne_vs_tdma",
+        params={"eta_direct_db_list": [0.0, 10.0, 20.0],
+                "eta_self_db_sweep": [float(x) for x in range(58, 81, 2)],
+                "trials": 200},
+        rng_seed=808)
+
+
+def write_ac08_csv(result, directory):
+    """Write the CSV (no sidecar) of the AC8 sweep's result."""
+    with open(Path(directory) / AC8_CSV, "w", encoding="utf-8",
+              newline="") as f:
+        result.write_csv(f)
+
+
 def write_outputs(directory):
     """Write every golden output into `directory`; return their names."""
     directory = Path(directory)
@@ -68,3 +87,5 @@ def write_outputs(directory):
 if __name__ == "__main__":
     for name in write_outputs(GOLDEN):
         print(GOLDEN / name, file=sys.stderr)
+    write_ac08_csv(run(ac08_spec()), GOLDEN)
+    print(GOLDEN / AC8_CSV, file=sys.stderr)

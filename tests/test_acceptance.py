@@ -17,6 +17,7 @@ from fdtwoway.nash import (IwfaConfig, best_response, contraction_check,
 from fdtwoway.pareto import (DecoupledProblem, epsilon_zero_condition,
                              optimal_beamforming, rank_reduce)
 from covariance_checks import is_rank_one
+from golden.regenerate import AC8_CSV, GOLDEN, ac08_spec, write_ac08_csv
 
 
 def _cgauss(rng, *shape):
@@ -329,15 +330,9 @@ def test_ac07_circulant_probability():
     assert elapsed < 300.0, f"runtime {elapsed:.1f}s exceeds 5 min"
 
 
-def test_ac08_ne_vs_tdma_crossover():
+def test_ac08_ne_vs_tdma_crossover(tmp_path):
     t0 = time.monotonic()
-    spec = ExperimentSpec(
-        name="ne_vs_tdma",
-        params={"eta_direct_db_list": [0.0, 10.0, 20.0],
-                "eta_self_db_sweep": [float(x) for x in range(58, 81, 2)],
-                "trials": 200},
-        rng_seed=808)
-    out = run(spec)
+    out = run(ac08_spec())
     targets = {0.0: 67.0, 10.0: 69.0, 20.0: 72.0}
     crossovers = out.metadata["crossover_eta_self_db"]
     for eta_d_db, target in targets.items():
@@ -347,6 +342,11 @@ def test_ac08_ne_vs_tdma_crossover():
             f"direct gain {eta_d_db} dB: crossover {got:.1f} vs {target}"
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0, f"runtime {elapsed:.1f}s exceeds 10 min"
+    # the seeded CSV stays byte-identical to tests/golden/ (regenerate.py)
+    write_ac08_csv(out, tmp_path)
+    assert ((tmp_path / AC8_CSV).read_bytes()
+            == (GOLDEN / AC8_CSV).read_bytes()), \
+        f"the AC8 CSV differs from tests/golden/{AC8_CSV}"
 
 
 def test_ac09_iwfa_convergence_trend():

@@ -6,13 +6,15 @@ report. If the move is intended, rewrite the fixtures with
 files in CHANGES.md with the reason.
 """
 
-from golden.regenerate import GOLDEN, write_outputs
+from golden.regenerate import AC8_CSV, GOLDEN, write_outputs
 
 
 def test_outputs_match_golden(tmp_path):
     names = write_outputs(tmp_path)
-    assert names == sorted(p.name for p in GOLDEN.iterdir()
-                           if p.suffix in (".csv", ".json"))
+    # the AC8 CSV is compared by test_ac08_ne_vs_tdma_crossover, which
+    # already runs its sweep
+    assert sorted(names + [AC8_CSV]) == sorted(
+        p.name for p in GOLDEN.iterdir() if p.suffix in (".csv", ".json"))
     changed = [name for name in names
                if (tmp_path / name).read_bytes()
                != (GOLDEN / name).read_bytes()]
