@@ -227,7 +227,21 @@ def _complex_to_pairs(A):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(A, dtype=complex)]
 
 
-def _pairs_to_complex(rows):
+def _pairs_to_complex(name, rows):
+    """The matrix that _complex_to_pairs wrote: a non-empty list of equally
+    long, non-empty rows of [re, im] pairs of finite reals. Raises
+    ValueError for anything else."""
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and row and len(row) == len(rows[0])
+                    for row in rows)):
+        raise ValueError(f"{name} must be a non-empty list of equally long "
+                         f"rows of [re, im] pairs, got {rows!r}")
+    for row in rows:
+        for pair in row:
+            _check_value(f"{name} entry", "reals", pair)
+            if len(pair) != 2:
+                raise ValueError(f"{name} entry must be an [re, im] pair, "
+                                 f"got {pair!r}")
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
@@ -247,12 +261,27 @@ def channel_to_dict(ch):
 
 
 def channel_from_dict(d):
-    H = {(int(k[0]), int(k[1])): _pairs_to_complex(v) for k, v in d["H"].items()}
+    """The channel of a section that channel_to_dict wrote, checked against
+    CHANNEL; M and N, where given, must match the shape of the matrices.
+    Raises ValueError for a malformed section."""
+    d = _check_section("channel", d, CHANNEL)
+    links = dict.fromkeys(("11", "12", "21", "22"), (None, REQUIRED))
+    H = {(int(k[0]), int(k[1])): _pairs_to_complex(f"channel H {k!r}", v)
+         for k, v in _check_section("channel H", d["H"], links).items()}
     eta = {(int(k[0]), int(k[1])): float(db_to_linear(v))
-           for k, v in d["eta_db"].items()}
+           for k, v in _check_section(
+               "channel eta_db", d["eta_db"],
+               {k: ("real", REQUIRED) for k in links}).items()}
     beta = 0.0 if d["beta_db"] is None else float(db_to_linear(d["beta_db"]))
-    P = {int(k): float(v) for k, v in d["P"].items()}
-    return FdChannelModel(H=H, eta=eta, beta=beta, P=P)
+    P = {int(k): float(v) for k, v in _check_section(
+        "channel P", d["P"], dict.fromkeys("12", ("positive", REQUIRED))
+    ).items()}
+    ch = FdChannelModel(H=H, eta=eta, beta=beta, P=P)
+    for key, size in (("M", ch.M), ("N", ch.N)):
+        if d[key] not in (None, size):
+            raise ValueError(f"channel {key} = {d[key]} does not match its "
+                             f"{ch.N} x {ch.M} (N x M) matrices")
+    return ch
 
 
 def save_channel(ch, path):
@@ -301,6 +330,12 @@ def _write_json(path_or_file, obj):
 
 
 REQUIRED = object()     # the default of a key that its section must give
+
+# {key: (kind, default)} of a channel section; channel_from_dict checks H,
+# eta_db and P against tables of their links and nodes
+CHANNEL = {"M": (1, None), "N": (1, None), "H": (None, REQUIRED),
+           "eta_db": (None, REQUIRED), "beta_db": ("optional", REQUIRED),
+           "P": (None, REQUIRED)}
 
 
 def _check_value(name, kind, value):

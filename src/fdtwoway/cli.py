@@ -112,14 +112,15 @@ def _load_channel_section(config):
         raise UsageError("config is missing the 'channel' section")
     try:
         return channel_from_dict(config["channel"])
-    except KeyError as e:
-        raise UsageError(f"'channel' section is missing the key {e}")
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise UsageError(f"malformed 'channel' section: {e}")
 
 
 def _run_pareto(inv):
     ch = _load_channel_section(inv.config)
+    if ch.N != 1:
+        raise UsageError(f"pareto needs a channel with N = 1 receive "
+                         f"antenna, got N = {ch.N}")
     grid = inv.config["pareto"]["grid"]
     points = pareto_boundary(ch, grid=tuple(grid) if isinstance(grid, list)
                              else (grid, grid))

@@ -4,6 +4,8 @@ All routines operate on plain numpy arrays and are pure: randomness only
 enters through an explicit ``numpy.random.Generator``.
 """
 
+import math
+
 import numpy as np
 
 # water_fill treats gains <= this times max(largest gain, 1) as zero
@@ -38,21 +40,38 @@ def water_fill(gains, P):
     last axis (leading axes are a batch, P broadcasts against them):
     p_k = max(mu - 1/g_k, 0). With 1/g sorted ascending, mu_k = (P +
     cumsum(1/g)_k) / k and mu is mu_k at the last k with mu_k > 1/g_(k).
-    Returns (powers aligned with gains, mu); mu = 0 if no gain is usable.
+    Returns (powers aligned with gains, mu); mu = 0 if no gain is usable,
+    which includes every row that holds a NaN.
+
+    The rows are filled one at a time in Python floats: IWFA calls this
+    once per step on a 2 x M batch, where each numpy call would cost more
+    than the arithmetic it does. The running sum is added left to right,
+    the order of np.cumsum, which the IWFA traces depend on to the last
+    bit; a caller with a large batch should time this loop against the
+    vectorized form at its own batch size.
     """
     g = np.asarray(gains, dtype=float)
-    n = g.shape[-1]
-    usable = g > WATERFILL_RTOL * np.maximum(g.max(axis=-1, keepdims=True),
-                                             1.0)
-    inv = np.divide(1.0, g, out=np.full(g.shape, np.inf), where=usable)
-    inv_sorted = np.sort(inv, axis=-1)
-    levels = ((np.asarray(P, dtype=float)[..., None]
-               + np.cumsum(inv_sorted, axis=-1)) / np.arange(1, n + 1))
-    above = levels > inv_sorted
-    last = n - 1 - np.argmax(above[..., ::-1], axis=-1)
-    mu = np.take_along_axis(levels, last[..., None], axis=-1)[..., 0]
-    mu = np.where(above[..., 0], mu, 0.0)
-    return np.maximum(mu[..., None] - inv, 0.0), mu
+    lead = g.shape[:-1]
+    budgets = (np.zeros(lead) + np.asarray(P, dtype=float)).ravel().tolist()
+    powers, mus = [], []
+    for row, budget in zip(g.reshape(-1, g.shape[-1]).tolist(), budgets):
+        # np.max propagates a NaN; Python's max skips it unless it is first
+        if any(map(math.isnan, row)):
+            threshold = math.nan
+        else:
+            threshold = WATERFILL_RTOL * max(max(row), 1.0)
+        inv = [1.0 / x if x > threshold else math.inf for x in row]
+        acc = mu = 0.0
+        for k, v in enumerate(sorted(inv), 1):
+            acc += v
+            level = (budget + acc) / k
+            if level > v:
+                mu = level
+            elif k == 1:
+                break
+        powers.append([max(mu - v, 0.0) for v in inv])
+        mus.append(mu)
+    return np.array(powers).reshape(g.shape), np.array(mus).reshape(lead)
 
 
 def sample_complex_gaussian(shape, rng):

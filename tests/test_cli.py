@@ -197,6 +197,32 @@ def _channel_without(field, key):
     return make
 
 
+def _channel_set(path, value):
+    """A config whose channel section holds `value` at the dotted `path`."""
+    def make(channel_config):
+        cfg = _as_is(channel_config)
+        *parents, last = path.split(".")
+        node = cfg["channel"]
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return cfg
+    return make
+
+
+def _channel_link_1(channel_config):
+    cfg = _as_is(channel_config)
+    cfg["channel"]["H"]["1"] = cfg["channel"]["H"].pop("11")
+    return cfg
+
+
+def _mimo_channel(channel_config):
+    ch = sample_channel(3, 3, {(1, 1): 1e4, (2, 2): 1e4,
+                               (1, 2): 1.0, (2, 1): 1.0},
+                        1e-6, {1: 1.0, 2: 1.0}, np.random.default_rng(0))
+    return dict(_as_is(channel_config), channel=channel_to_dict(ch))
+
+
 def _experiment(name, params):
     return lambda _: {"experiment": {"name": name, "params": params}}
 
@@ -253,6 +279,17 @@ def _experiment(name, params):
     ("pareto", _channel_without("P", "2"), []),
     ("pareto", _channel_without("eta_db", "12"), []),
     ("pareto", _with(pareto=5), ["grid=3"]),
+    ("pareto", _mimo_channel, []),
+    ("uniqueness", _channel_set("H", 5), []),
+    ("uniqueness", _channel_link_1, []),
+    ("uniqueness", _channel_set("H.12", [[1.0, 0.0, 2.0]]), []),
+    ("uniqueness", _channel_set("H.12", [[[1.0, 0.0, 2.0]] * 3]), []),
+    ("uniqueness", _channel_set("H.12", [[[float("nan"), 0.0]] * 3]), []),
+    ("uniqueness", _channel_set("H.12", [[[True, 0.0]] * 3]), []),
+    ("uniqueness", _channel_set("M", 7), []),
+    ("uniqueness", _channel_set("N", 3), []),
+    ("uniqueness", _channel_set("gain_db", 3.0), []),
+    ("uniqueness", _channel_set("eta_db.12", "10"), []),
 ], ids=["pareto-no-eta", "uniqueness-no-eta", "scalar-sweep",
         "negative-bits", "negative-grid", "string-grid", "zero-grid-pair",
         "negative-delta", "unknown-mode", "fractional-max-iter",
@@ -269,7 +306,12 @@ def _experiment(name, params):
         "unknown-param", "unqualified-set-typo", "config-list",
         "string-seed", "negative-seed", "fractional-seed",
         "negative-seed-flag", "pareto-no-P2", "pareto-no-eta12",
-        "set-into-non-object-section"])
+        "set-into-non-object-section", "pareto-vector-channel",
+        "channel-H-not-object", "channel-link-key-1",
+        "channel-matrix-of-numbers", "channel-matrix-of-triples",
+        "channel-matrix-nan-entry", "channel-matrix-boolean-entry",
+        "channel-M-mismatch", "channel-N-mismatch", "channel-unknown-key",
+        "channel-string-eta-db"])
 def test_malformed_config_exits_2(command, make_config, overrides,
                                   channel_config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"

@@ -218,3 +218,53 @@ class TestWaterFill:
     def test_numerically_zero_gains_get_no_power(self):
         powers, _ = water_fill(np.array([1e-20, 2.0]), 1e30)
         assert powers[0] == 0.0
+
+
+class TestWaterFillEdges:
+    """Rows a numerical caller can hand over: NaN, infinite and
+    nonpositive gains, and the shapes of the results."""
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_nan_row_gets_no_power(self, where):
+        gains = np.array([3.0, 2.0, 0.5])
+        gains[where] = np.nan
+        powers, mu = water_fill(gains, 1.0)
+        assert mu == 0.0
+        assert np.array_equal(powers, np.zeros(3))
+
+    def test_infinite_gain_leaves_no_usable_gain(self):
+        # the threshold RTOL * max(g) is infinite, and no gain exceeds it
+        powers, mu = water_fill(np.array([2.0, np.inf, 0.5]), 1.0)
+        assert mu == 0.0
+        assert np.array_equal(powers, np.zeros(3))
+
+    def test_nonpositive_row_beside_a_usable_one(self):
+        gains = np.array([[-1.0, 0.0, -0.0], [2.0, 0.0, 1.0]])
+        powers, mu = water_fill(gains, np.array([1.0, 1.0]))
+        assert mu[0] == 0.0
+        assert np.array_equal(powers[0], np.zeros(3))
+        assert mu[1] > 0.0
+        assert powers[1].sum() == pytest.approx(1.0, rel=1e-15)
+
+    def test_batch_rows_equal_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        gains = rng.normal(size=(5, 4, 3)) ** 3
+        gains[0, 0] = [np.nan, 1.0, 2.0]
+        gains[1, 1] = [1.0, np.nan, 2.0]
+        gains[2, 2] = [np.inf, 1.0, 2.0]
+        gains[3, 3] = [-1.0, 0.0, -2.0]
+        gains[4, 0] = [1e-20, 3.0, 0.0]
+        P = rng.uniform(0.1, 10.0, size=(5, 4))
+        powers, mu = water_fill(gains, P)
+        for idx in np.ndindex(5, 4):
+            row_p, row_mu = water_fill(gains[idx], P[idx])
+            assert np.array_equal(powers[idx], row_p)
+            assert np.array_equal(mu[idx], row_mu)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_result_shapes_and_dtypes(self, shape):
+        gains = np.arange(1, np.prod(shape) + 1).reshape(shape)  # integers
+        powers, mu = water_fill(gains, 2.0)
+        assert isinstance(powers, np.ndarray) and isinstance(mu, np.ndarray)
+        assert powers.shape == shape and powers.dtype == np.float64
+        assert mu.shape == shape[:-1] and mu.dtype == np.float64
