@@ -235,7 +235,7 @@ def _pairs_to_complex(name, rows):
             and all(isinstance(row, list) and row and len(row) == len(rows[0])
                     for row in rows)):
         raise ValueError(f"{name} must be a non-empty list of equally long "
-                         f"rows of [re, im] pairs, got {rows!r}")
+                         f"rows of [re, im] pairs")
     for row in rows:
         for pair in row:
             _check_value(f"{name} entry", "reals", pair)
@@ -265,18 +265,21 @@ def channel_from_dict(d):
     CHANNEL; M and N, where given, must match the shape of the matrices.
     Raises ValueError for a malformed section."""
     d = _check_section("channel", d, CHANNEL)
-    links = dict.fromkeys(("11", "12", "21", "22"), (None, REQUIRED))
-    H = {(int(k[0]), int(k[1])): _pairs_to_complex(f"channel H {k!r}", v)
-         for k, v in _check_section("channel H", d["H"], links).items()}
-    eta = {(int(k[0]), int(k[1])): float(db_to_linear(v))
-           for k, v in _check_section(
-               "channel eta_db", d["eta_db"],
-               {k: ("real", REQUIRED) for k in links}).items()}
-    beta = 0.0 if d["beta_db"] is None else float(db_to_linear(d["beta_db"]))
-    P = {int(k): float(v) for k, v in _check_section(
-        "channel P", d["P"], dict.fromkeys("12", ("positive", REQUIRED))
-    ).items()}
-    ch = FdChannelModel(H=H, eta=eta, beta=beta, P=P)
+    links = ("11", "12", "21", "22")
+    H = _check_section("channel H", d["H"],
+                       dict.fromkeys(links, (None, REQUIRED)))
+    eta_db = _check_section("channel eta_db", d["eta_db"],
+                            dict.fromkeys(links, ("real", REQUIRED)))
+    P = _check_section("channel P", d["P"],
+                       dict.fromkeys("12", ("positive", REQUIRED)))
+    ch = FdChannelModel(
+        H={(int(k[0]), int(k[1])): _pairs_to_complex(f"channel H {k!r}", v)
+           for k, v in H.items()},
+        eta={(int(k[0]), int(k[1])): float(db_to_linear(v))
+             for k, v in eta_db.items()},
+        beta=(0.0 if d["beta_db"] is None
+              else float(db_to_linear(d["beta_db"]))),
+        P={int(k): float(v) for k, v in P.items()})
     for key, size in (("M", ch.M), ("N", ch.N)):
         if d[key] not in (None, size):
             raise ValueError(f"channel {key} = {d[key]} does not match its "

@@ -37,7 +37,7 @@ def weighted_max_norm(X1, X2, w):
 
 def water_fill(gains, P):
     """Powers p >= 0 with sum(p) = P maximizing sum log(1 + g p) along the
-    last axis (leading axes are a batch, P broadcasts against them):
+    last axis (leading axes are a batch, P broadcasts to their shape):
     p_k = max(mu - 1/g_k, 0). With 1/g sorted ascending, mu_k = (P +
     cumsum(1/g)_k) / k and mu is mu_k at the last k with mu_k > 1/g_(k).
     Returns (powers aligned with gains, mu); mu = 0 if no gain is usable,
@@ -54,7 +54,8 @@ def water_fill(gains, P):
     lead = g.shape[:-1]
     budgets = (np.zeros(lead) + np.asarray(P, dtype=float)).ravel().tolist()
     powers, mus = [], []
-    for row, budget in zip(g.reshape(-1, g.shape[-1]).tolist(), budgets):
+    for row, budget in zip(g.reshape(-1, g.shape[-1]).tolist(), budgets,
+                           strict=True):
         # np.max propagates a NaN; Python's max skips it unless it is first
         if any(map(math.isnan, row)):
             threshold = math.nan
