@@ -1,7 +1,7 @@
 """Golden seeded outputs: small runs of every experiment and of the
 `pareto` and `ne` commands, whose bytes tests/test_golden.py compares
-against the files in this directory, and the CSV of the AC8 acceptance
-sweep, which tests/test_acceptance.py compares.
+against the files in this directory, and the CSVs of the AC8 and AC9
+acceptance sweeps, which tests/test_acceptance.py compares.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -23,6 +23,7 @@ from fdtwoway.harness import ExperimentSpec, run
 GOLDEN = Path(__file__).resolve().parent
 SEED = 42
 AC8_CSV = "ac08_ne_vs_tdma.csv"
+AC9_CSV = "ac09_iwfa_convergence.csv"
 
 EXPERIMENTS = {
     "rate_region": {"beta_db": -40.0, "gamma_db_list": [-20.0, -60.0],
@@ -59,10 +60,19 @@ def ac08_spec():
         rng_seed=808)
 
 
-def write_ac08_csv(result, directory):
-    """Write the CSV (no sidecar) of the AC8 sweep's result."""
-    with open(Path(directory) / AC8_CSV, "w", encoding="utf-8",
-              newline="") as f:
+def ac09_spec():
+    """The AC9 sweep: IWFA convergence within 25/50/100 steps, 10^4
+    trials."""
+    return ExperimentSpec(
+        name="iwfa_convergence",
+        params={"gamma_db_list": [-75.0, -65.0, -55.0, -45.0],
+                "step_budgets": [25, 50, 100], "trials": 2500},
+        rng_seed=909)
+
+
+def write_acceptance_csv(result, path):
+    """Write the CSV (no sidecar) of an acceptance sweep's result."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
         result.write_csv(f)
 
 
@@ -87,5 +97,6 @@ def write_outputs(directory):
 if __name__ == "__main__":
     for name in write_outputs(GOLDEN):
         print(GOLDEN / name, file=sys.stderr)
-    write_ac08_csv(run(ac08_spec()), GOLDEN)
-    print(GOLDEN / AC8_CSV, file=sys.stderr)
+    for name, spec in ((AC8_CSV, ac08_spec()), (AC9_CSV, ac09_spec())):
+        write_acceptance_csv(run(spec), GOLDEN / name)
+        print(GOLDEN / name, file=sys.stderr)

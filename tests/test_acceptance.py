@@ -17,7 +17,8 @@ from fdtwoway.nash import (IwfaConfig, best_response, contraction_check,
 from fdtwoway.pareto import (DecoupledProblem, epsilon_zero_condition,
                              optimal_beamforming, rank_reduce)
 from covariance_checks import is_rank_one
-from golden.regenerate import AC8_CSV, GOLDEN, ac08_spec, write_ac08_csv
+from golden.regenerate import (AC8_CSV, AC9_CSV, GOLDEN, ac08_spec, ac09_spec,
+                               write_acceptance_csv)
 
 
 def _cgauss(rng, *shape):
@@ -343,20 +344,14 @@ def test_ac08_ne_vs_tdma_crossover(tmp_path):
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0, f"runtime {elapsed:.1f}s exceeds 10 min"
     # the seeded CSV stays byte-identical to tests/golden/ (regenerate.py)
-    write_ac08_csv(out, tmp_path)
+    write_acceptance_csv(out, tmp_path / AC8_CSV)
     assert ((tmp_path / AC8_CSV).read_bytes()
             == (GOLDEN / AC8_CSV).read_bytes()), \
         f"the AC8 CSV differs from tests/golden/{AC8_CSV}"
 
 
-def test_ac09_iwfa_convergence_trend():
-    spec = ExperimentSpec(
-        name="iwfa_convergence",
-        params={"gamma_db_list": [-75.0, -65.0, -55.0, -45.0],
-                "step_budgets": [25, 50, 100],
-                "trials": 2500},   # 10^4 IWFA trials across the sweep
-        rng_seed=909)
-    out = run(spec)
+def test_ac09_iwfa_convergence_trend(tmp_path):
+    out = run(ac09_spec())   # 10^4 IWFA trials across the sweep
     by_budget = {}
     for gamma_db, budget, prob, se in out.rows:
         by_budget.setdefault(budget, []).append((gamma_db, prob, se))
@@ -366,6 +361,11 @@ def test_ac09_iwfa_convergence_trend():
             sigma = float(np.hypot(s0, s1))
             assert p1 >= p0 - 2.0 * sigma, \
                 f"budget {budget}: p({g1}dB)={p1} < p({g0}dB)={p0} - 2 sigma"
+    # the seeded CSV stays byte-identical to tests/golden/ (regenerate.py)
+    write_acceptance_csv(out, tmp_path / AC9_CSV)
+    assert ((tmp_path / AC9_CSV).read_bytes()
+            == (GOLDEN / AC9_CSV).read_bytes()), \
+        f"the AC9 CSV differs from tests/golden/{AC9_CSV}"
 
 
 def test_ac10_ber_sanity():
