@@ -17,7 +17,13 @@ from .linalg import sample_complex_gaussian, water_fill
 
 
 def db_to_linear(x_db):
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+    with np.errstate(over="ignore"):    # inf, which FdChannelModel rejects
+        return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+
+
+def _beta_linear(beta_db):
+    """beta_db of None denotes an ideal front end (beta = 0)."""
+    return 0.0 if beta_db is None else float(db_to_linear(beta_db))
 
 
 def linear_to_db(x):
@@ -32,7 +38,8 @@ class FdChannelModel:
     transmission from node i's transmitter to node j's receiver, so
     H[(1, 1)], H[(2, 2)] are the self-interference channels. eta holds the
     matching linear power gains, beta the transmit front-end noise level,
-    P the per-node power budgets {1: P1, 2: P2}.
+    P the per-node power budgets {1: P1, 2: P2}. Construction checks these
+    for every caller and raises ValueError for a channel out of range.
     """
 
     H: dict
@@ -43,19 +50,21 @@ class FdChannelModel:
     N: int = field(init=False)
 
     def __post_init__(self):
-        shapes = {k: np.asarray(v).shape for k, v in self.H.items()}
-        if set(self.H) != {(1, 1), (1, 2), (2, 1), (2, 2)}:
-            raise ValueError("H must contain the four links (i,j)")
-        if len(set(shapes.values())) != 1:
-            raise ValueError(f"channel matrices disagree in shape: {shapes}")
-        self.N, self.M = next(iter(shapes.values()))
         self.H = {k: np.asarray(v, dtype=complex) for k, v in self.H.items()}
-        if set(self.eta) != set(self.H) or min(self.eta.values()) <= 0:
-            raise ValueError("eta must hold a positive gain per link (i,j)")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
-        if set(self.P) != {1, 2} or min(self.P.values()) <= 0:
-            raise ValueError("P must hold positive budgets of nodes 1 and 2")
+        shapes = {k: v.shape for k, v in self.H.items()}
+        shape = shapes.get((1, 1), ())
+        if (set(shapes) != {(1, 1), (1, 2), (2, 1), (2, 2)} or len(shape) != 2
+                or 0 in shape or set(shapes.values()) != {shape}
+                or not np.isfinite(np.array(list(self.H.values()))).all()):
+            raise ValueError(f"H must map each link (i,j) to a finite N x M "
+                             f"matrix, N, M >= 1, of one shape: {shapes}")
+        self.N, self.M = shape
+        gains = [*self.eta.values(), *self.P.values()]
+        if (set(self.eta) != set(self.H) or set(self.P) != {1, 2}
+                or not all(0 < g < math.inf for g in gains)
+                or not 0 <= self.beta < math.inf):
+            raise ValueError(f"need finite eta > 0, P > 0 and beta >= 0: "
+                             f"eta {self.eta}, beta {self.beta}, P {self.P}")
 
     def gamma(self, i):
         """Direct-to-self-interference gain ratio eta_ji / eta_ii."""
@@ -228,20 +237,16 @@ def _complex_to_pairs(A):
 
 
 def _pairs_to_complex(name, rows):
-    """The matrix that _complex_to_pairs wrote: a non-empty list of equally
-    long, non-empty rows of [re, im] pairs of finite reals. Raises
-    ValueError for anything else."""
-    if not (isinstance(rows, list) and rows
-            and all(isinstance(row, list) and row and len(row) == len(rows[0])
+    """The matrix that _complex_to_pairs wrote: a list of equally long rows
+    of [re, im] pairs of numbers. Raises ValueError for anything else."""
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == len(rows[0])
                     for row in rows)):
-        raise ValueError(f"{name} must be a non-empty list of equally long "
-                         f"rows of [re, im] pairs")
+        raise ValueError(f"{name} must be a list of equally long rows of "
+                         f"[re, im] pairs")
     for row in rows:
         for pair in row:
-            _check_value(f"{name} entry", "reals", pair)
-            if len(pair) != 2:
-                raise ValueError(f"{name} entry must be an [re, im] pair, "
-                                 f"got {pair!r}")
+            _check_value(f"{name} entry", "pair", pair)
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
@@ -261,25 +266,19 @@ def channel_to_dict(ch):
 
 
 def channel_from_dict(d):
-    """The channel of a section that channel_to_dict wrote, checked against
-    CHANNEL; M and N, where given, must match the shape of the matrices.
-    Raises ValueError for a malformed section."""
+    """The channel of a section that channel_to_dict wrote, parsed against
+    CHANNEL and checked by FdChannelModel; M and N, where given, must match
+    the shape of the matrices. Raises ValueError for a malformed section."""
     d = _check_section("channel", d, CHANNEL)
-    links = ("11", "12", "21", "22")
-    H = _check_section("channel H", d["H"],
-                       dict.fromkeys(links, (None, REQUIRED)))
-    eta_db = _check_section("channel eta_db", d["eta_db"],
-                            dict.fromkeys(links, ("real", REQUIRED)))
-    P = _check_section("channel P", d["P"],
-                       dict.fromkeys("12", ("positive", REQUIRED)))
+    if d["beta_db"] is not None:
+        _check_value("channel param 'beta_db'", "number", d["beta_db"])
     ch = FdChannelModel(
         H={(int(k[0]), int(k[1])): _pairs_to_complex(f"channel H {k!r}", v)
-           for k, v in H.items()},
+           for k, v in d["H"].items()},
         eta={(int(k[0]), int(k[1])): float(db_to_linear(v))
-             for k, v in eta_db.items()},
-        beta=(0.0 if d["beta_db"] is None
-              else float(db_to_linear(d["beta_db"]))),
-        P={int(k): float(v) for k, v in P.items()})
+             for k, v in d["eta_db"].items()},
+        beta=_beta_linear(d["beta_db"]),
+        P={int(k): float(v) for k, v in d["P"].items()})
     for key, size in (("M", ch.M), ("N", ch.N)):
         if d[key] not in (None, size):
             raise ValueError(f"channel {key} = {d[key]} does not match its "
@@ -334,31 +333,38 @@ def _write_json(path_or_file, obj):
 
 REQUIRED = object()     # the default of a key that its section must give
 
-# {key: (kind, default)} of a channel section; channel_from_dict checks H,
-# eta_db and P against tables of their links and nodes
-CHANNEL = {"M": (1, None), "N": (1, None), "H": (None, REQUIRED),
-           "eta_db": (None, REQUIRED), "beta_db": ("optional", REQUIRED),
-           "P": (None, REQUIRED)}
+_LINKS = ("11", "12", "21", "22")
+# {key: (kind, default)} of a channel section; H, eta_db and P are tables of
+# their own, keyed by link and by node
+CHANNEL = {"M": (1, None), "N": (1, None), "beta_db": (None, REQUIRED),
+           "H": (dict.fromkeys(_LINKS, (None, REQUIRED)), REQUIRED),
+           "eta_db": (dict.fromkeys(_LINKS, ("number", REQUIRED)), REQUIRED),
+           "P": (dict.fromkeys("12", ("number", REQUIRED)), REQUIRED)}
 
 
 def _check_value(name, kind, value):
     """Raise ValueError unless value is of the kind: an int n (an integer
-    >= n, not a bool), "real" (finite), "positive" (finite real > 0),
-    "optional" (real, or None for an ideal front end), "reals" (a list of
-    reals), "counts" (a non-empty list of integers >= 1), "grid" (an
-    integer >= 2 or a pair of them, so that each z axis holds both of its
-    ends) or a tuple of the values allowed."""
-    if kind in ("reals", "counts", "grid"):
+    >= n, not a bool), "number" (a real, not a bool), "real" (a finite
+    number), "positive" (a finite number > 0), "optional" (a real, or None
+    for an ideal front end), "pair" (a list of two numbers), "reals" (a
+    list of reals), "counts" (a non-empty list of integers >= 1), "grid"
+    (an integer >= 2 or a pair of them, so that each z axis holds both of
+    its ends), a tuple of the values allowed or a table of a section."""
+    if kind in ("pair", "reals", "counts", "grid"):
         if kind == "grid" and not (isinstance(value, list)
                                    and len(value) == 2):
             value = [value]     # one integer for both axes
         elif (not isinstance(value, (list, tuple))
-              or kind == "counts" and not value):
-            what = "a non-empty list" if kind == "counts" else "a list"
+              or kind == "counts" and not value
+              or kind == "pair" and len(value) != 2):
+            what = {"counts": "a non-empty list",
+                    "pair": "an [re, im] pair"}.get(kind, "a list")
             raise ValueError(f"{name} must be {what}, got {value!r}")
         for element in value:
-            _check_value(name, {"reals": "real", "counts": 1, "grid": 2}[kind],
-                         element)
+            _check_value(name, {"pair": "number", "reals": "real",
+                                "counts": 1, "grid": 2}[kind], element)
+    elif isinstance(kind, dict):
+        _check_section(name, value, kind)
     elif isinstance(kind, tuple):
         if value not in kind:
             raise ValueError(f"{name} must be one of {kind}, got {value!r}")
@@ -370,7 +376,7 @@ def _check_value(name, kind, value):
     elif value is not None or kind != "optional":
         low = 0.0 if kind == "positive" else -math.inf
         if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not low < value < math.inf):
+                or kind != "number" and not low < value < math.inf):
             raise ValueError(f"{name} must be a {'positive ' * (low == 0)}"
                              f"finite number, got {value!r}")
 

@@ -165,9 +165,11 @@ def _run_uniqueness(inv):
 def _run_experiment(inv):
     try:
         spec = ExperimentSpec(**inv.config["experiment"], rng_seed=inv.seed)
+        result = run(spec)  # FdChannelModel checks the channels it draws
+    except np.linalg.LinAlgError:
+        raise   # a numerical failure, not a config error
     except ValueError as e:
         raise UsageError(str(e))
-    result = run(spec)
     if inv.output is None:
         result.write_csv(sys.stdout)
         _write_json(sys.stderr, result.metadata)

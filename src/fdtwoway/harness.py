@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import (REQUIRED, _check_section, _effective_channel,
-                      _link_rates, _node_constants, _powers, _receive,
-                      _write_csv, _write_json, achievable_rate, db_to_linear,
-                      one_way_capacity, sample_channel, tdma_sum_rate)
+from .channel import (REQUIRED, _beta_linear, _check_section,
+                      _effective_channel, _link_rates, _node_constants,
+                      _powers, _receive, _write_csv, _write_json,
+                      achievable_rate, db_to_linear, one_way_capacity,
+                      sample_channel, tdma_sum_rate)
 from .linalg import sample_complex_gaussian
 from .nash import (IwfaConfig, circulant_uniqueness_probability, iwfa,
                    miso_ne)
@@ -108,11 +109,6 @@ def _stream(spec, *indices):
     return np.random.default_rng([spec.rng_seed, *indices])
 
 
-def _beta_linear(beta_db):
-    """beta_db of None denotes an ideal front end (beta = 0)."""
-    return 0.0 if beta_db is None else float(db_to_linear(beta_db))
-
-
 def run(spec):
     return {"rate_region": run_rate_region,
             "ne_vs_tdma": run_ne_vs_tdma,
@@ -203,9 +199,6 @@ def run_ne_vs_tdma(spec):
     reads as a link gain rather than a link gain times array size.
     """
     p = spec.params
-    beta = _beta_linear(p["beta_db"])
-    M, N, P = p["M"], p["N"], p["P"]
-    trials = p["trials"]
     rows, cyclic = [], []
     crossovers = {}
     for di, eta_d_db in enumerate(p["eta_direct_db_list"]):
@@ -215,11 +208,7 @@ def run_ne_vs_tdma(spec):
             eta_s = float(db_to_linear(eta_s_db))
             ne_rates, tdma_rates = [], []
             excluded = excluded_cyclic = 0
-            for t in range(trials):
-                ch = _symmetric_channel(M, N, eta_d, eta_s, beta, P,
-                                        _stream(spec, 1, di, si, t))
-                ch.H = {k: v / np.sqrt(M) for k, v in ch.H.items()}
-                tr = iwfa(ch, np.zeros((2, M, M)), spec.iwfa_cfg)
+            for ch, tr in _iwfa_trials(spec, (1, di, si), eta_d, eta_s, True):
                 if not tr.converged:
                     excluded += 1
                     excluded_cyclic += tr.cycle is not None
@@ -242,6 +231,20 @@ def run_ne_vs_tdma(spec):
         columns=["eta_direct_db", "eta_self_db", "ne_sum_rate",
                  "ne_stderr", "tdma_sum_rate", "tdma_stderr", "excluded"],
         rows=rows, metadata=meta)
+
+
+def _iwfa_trials(spec, stream, eta_direct, eta_self, rescale):
+    """(channel, IwfaTrace) per trial of a sweep point: the spec's symmetric
+    channel drawn from the trial's stream (*stream, t), its matrices divided
+    by sqrt(M) if `rescale`, and IWFA on it from zero profiles."""
+    p = spec.params
+    M, beta = p["M"], _beta_linear(p["beta_db"])
+    for t in range(p["trials"]):
+        ch = _symmetric_channel(M, p["N"], eta_direct, eta_self, beta,
+                                p["P"], _stream(spec, *stream, t))
+        if rescale:
+            ch.H = {k: v / np.sqrt(M) for k, v in ch.H.items()}
+        yield ch, iwfa(ch, np.zeros((2, M, M)), spec.iwfa_cfg)
 
 
 def _crossover(gaps):
@@ -295,26 +298,15 @@ def run_uniqueness_probability(spec):
 def run_iwfa_convergence(spec):
     """Empirical probability that sync IWFA converges within X steps."""
     p = spec.params
-    beta = _beta_linear(p["beta_db"])
-    M, N, P = p["M"], p["N"], p["P"]
-    trials = p["trials"]
-    budgets = sorted(p["step_budgets"])
     rows = []
     for gi, gamma_db in enumerate(p["gamma_db_list"]):
-        gamma = float(db_to_linear(gamma_db))
-        eta_d = 1.0
-        eta_s = eta_d / gamma
-        steps = np.full(trials, np.inf)
-        for t in range(trials):
-            ch = _symmetric_channel(M, N, eta_d, eta_s, beta, P,
-                                    _stream(spec, 3, gi, t))
-            tr = iwfa(ch, np.zeros((2, M, M)), spec.iwfa_cfg)
-            if tr.converged:
-                steps[t] = tr.iterations
-        for X in budgets:
+        eta_s = 1.0 / float(db_to_linear(gamma_db))
+        steps = np.array([tr.iterations if tr.converged else np.inf for _, tr
+                          in _iwfa_trials(spec, (3, gi), 1.0, eta_s, False)])
+        for X in sorted(p["step_budgets"]):
             prob = float(np.mean(steps <= X))
             rows.append([float(gamma_db), X, prob,
-                         _binomial_stderr(prob, trials)])
+                         _binomial_stderr(prob, p["trials"])])
     return ExperimentResult(
         columns=["gamma_db", "step_budget", "p_converged", "stderr"],
         rows=rows, metadata=_metadata(spec))

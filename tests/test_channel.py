@@ -20,6 +20,21 @@ def make_channel(M=3, N=2, beta=1e-4, seed=0, symmetric=False):
                           beta, {1: 2.0, 2: 3.0}, rng, symmetric=symmetric)
 
 
+LINKS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def _model(shape=(2, 3), entry=None, eta=1.0, beta=1e-3, P=1.0):
+    """FdChannelModel of N x M = shape matrices, with H21[0, 0] = entry if
+    it is given, gain eta on link (1, 2), beta, and node 2's budget P."""
+    rng = np.random.default_rng(0)
+    H = {k: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+         for k in LINKS}
+    if entry is not None:
+        H[(2, 1)][0, 0] = entry
+    return FdChannelModel(H=H, eta={**dict.fromkeys(LINKS, 1.0), (1, 2): eta},
+                          beta=beta, P={1: 1.0, 2: P})
+
+
 def random_Q(M, P, rng):
     G = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
     Q = G @ G.conj().T
@@ -78,6 +93,38 @@ class TestChannelModel:
             check_covariance(np.array([[1.0, 0.0], [0.0, -0.5]]), 10.0)
         with pytest.raises(ValueError):
             check_covariance(np.eye(2), 1.0)  # trace over budget
+
+    @pytest.mark.parametrize("build, valid", [
+        (lambda: _model(shape=(1, 0)), False),
+        (lambda: _model(shape=(0, 1)), False),
+        (lambda: _model(entry=np.nan), False),
+        (lambda: _model(entry=np.inf), False),
+        (lambda: _model(eta=np.nan), False),
+        (lambda: _model(eta=np.inf), False),
+        (lambda: _model(eta=0.0), False),
+        (lambda: _model(eta=-1.0), False),
+        (lambda: _model(beta=np.nan), False),
+        (lambda: _model(beta=np.inf), False),
+        (lambda: _model(beta=-1e-3), False),
+        (lambda: _model(P=np.nan), False),
+        (lambda: _model(P=np.inf), False),
+        (lambda: _model(P=0.0), False),
+        (lambda: sample_channel(3, 3, dict.fromkeys(LINKS, 1.0), 1e-3,
+                                {1: 1.0, 2: np.nan},
+                                np.random.default_rng(0)), False),
+        (lambda: _model(shape=(1, 1)), True),
+        (lambda: _model(beta=0.0), True),
+    ], ids=["M-0", "N-0", "nan-entry", "inf-entry", "nan-eta", "inf-eta",
+            "zero-eta", "negative-eta", "nan-beta", "inf-beta",
+            "negative-beta", "nan-P", "inf-P", "zero-P",
+            "sample-channel-nan-P", "M-N-1", "zero-beta"])
+    def test_construction_checks_every_channel(self, build, valid):
+        if not valid:
+            with pytest.raises(ValueError):
+                build()
+            return
+        ch = build()    # and it computes a finite rate
+        assert np.isfinite(tdma_sum_rate(ch))
 
 
 class TestRates:

@@ -290,6 +290,11 @@ def _experiment(name, params):
     ("uniqueness", _channel_set("N", 3), []),
     ("uniqueness", _channel_set("gain_db", 3.0), []),
     ("uniqueness", _channel_set("eta_db.12", "10"), []),
+    ("uniqueness", _channel_set("P.1", float("nan")), []),
+    ("pareto", _channel_set("eta_db.12", 4000.0), []),
+    ("uniqueness", _channel_set("beta_db", 4000.0), []),
+    ("ne", _channel_set("eta_db.11", 4000.0), []),
+    ("experiment", lambda _: _ne_vs_tdma(eta_self_db_sweep=[4000.0]), []),
 ], ids=["pareto-no-eta", "uniqueness-no-eta", "scalar-sweep",
         "negative-bits", "negative-grid", "string-grid", "zero-grid-pair",
         "negative-delta", "unknown-mode", "fractional-max-iter",
@@ -311,7 +316,9 @@ def _experiment(name, params):
         "channel-matrix-of-numbers", "channel-matrix-of-triples",
         "channel-matrix-nan-entry", "channel-matrix-boolean-entry",
         "channel-M-mismatch", "channel-N-mismatch", "channel-unknown-key",
-        "channel-string-eta-db"])
+        "channel-string-eta-db", "channel-nan-P", "pareto-overflow-eta-db",
+        "uniqueness-overflow-beta-db", "ne-overflow-eta-db",
+        "experiment-overflow-eta-self-db"])
 def test_malformed_config_exits_2(command, make_config, overrides,
                                   channel_config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
