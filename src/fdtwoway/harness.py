@@ -18,22 +18,23 @@ from .channel import (REQUIRED, _beta_linear, _check_section,
                       achievable_rate, db_to_linear, one_way_capacity,
                       sample_channel, tdma_sum_rate)
 from .linalg import sample_complex_gaussian
-from .nash import (IwfaConfig, circulant_uniqueness_probability, iwfa,
-                   miso_ne)
+from .nash import (DEFAULT_DELTA, DEFAULT_MAX_ITER, IwfaConfig,
+                   circulant_uniqueness_probability, iwfa, miso_ne)
 from .pareto import pareto_boundary, zf_beamforming
 
 # Each experiment's params: {key: (kind, default or REQUIRED)}, with the
 # kinds of channel._check_value. A BER point needs one QPSK symbol (two
 # bits), a z grid both of its ends; IwfaConfig checks delta and max_iter.
 _MIMO = {"M": (1, 3), "N": (1, 3), "P": ("positive", 10.0),
-         "beta_db": ("optional", -60.0), "delta": (None, 1e-8)}
+         "beta_db": ("optional", -60.0), "delta": (None, DEFAULT_DELTA)}
 EXPERIMENTS = {
     "rate_region": {"beta_db": ("optional", REQUIRED),
                     "gamma_db_list": ("reals", REQUIRED),
                     "M": (1, 3), "P": ("positive", 1.0), "grid": (2, 120)},
     "ne_vs_tdma": {**_MIMO, "eta_direct_db_list": ("reals", REQUIRED),
                    "eta_self_db_sweep": ("reals", REQUIRED),
-                   "trials": (1, REQUIRED), "max_iter": (None, 500)},
+                   "trials": (1, REQUIRED),
+                   "max_iter": (None, DEFAULT_MAX_ITER)},
     "uniqueness_probability": {"beta_db_list": ("reals", REQUIRED),
                                "gamma_db_sweep": ("reals", REQUIRED),
                                "trials": (1, REQUIRED), "M": (1, 3)},
@@ -64,6 +65,11 @@ class ExperimentSpec:
             self.iwfa_cfg = IwfaConfig(p["delta"], p["max_iter"])
         elif self.name == "iwfa_convergence":
             self.iwfa_cfg = IwfaConfig(p["delta"], max(p["step_budgets"]))
+        # the runs divide by the linear gamma, 0 below about -3236 dB
+        for key in ("gamma_db_list", "gamma_db"):
+            if key in p and not np.all(db_to_linear(p[key])):
+                raise ValueError(f"experiment {self.name!r} param {key!r}: "
+                                 f"{p[key]!r} dB underflows to a linear 0")
 
 
 @dataclass

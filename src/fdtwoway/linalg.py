@@ -27,14 +27,6 @@ def pseudo_inverse(A):
     return np.linalg.pinv(np.asarray(A, dtype=complex), rcond=PINV_RCOND)
 
 
-def weighted_max_norm(X1, X2, w):
-    """max(||X1||_F / w1, ||X2||_F / w2) for positive weights (w1, w2)."""
-    w1, w2 = float(w[0]), float(w[1])
-    if w1 <= 0 or w2 <= 0:
-        raise ValueError("weights must be positive")
-    return max(np.linalg.norm(X1) / w1, np.linalg.norm(X2) / w2)
-
-
 def water_fill(gains, P):
     """Powers p >= 0 with sum(p) = P maximizing sum log(1 + g p) along the
     last axis (leading axes are a batch, P broadcasts to their shape):

@@ -10,8 +10,7 @@ import numpy as np
 from .channel import (_check_value, _effective_channel, _herm,
                       _log2det, _node_constants, _powers, _strategies,
                       _write_csv, achievable_rate, other)
-from .linalg import (pseudo_inverse, spectral_radius, water_fill,
-                     weighted_max_norm)
+from .linalg import pseudo_inverse, spectral_radius, water_fill
 
 DEFAULT_DELTA = 1e-8
 DEFAULT_MAX_ITER = 500
@@ -96,11 +95,15 @@ class IwfaTrace:
     iterates: list
     residuals: list
     converged: bool
-    iterations: int
     schedule: list = field(default_factory=list)
     # (start, period) when a synchronous run revisited iterate `start`
-    # bit for bit at step start + period; None otherwise
+    # bit for bit at step start + period, its last step; None otherwise
     cycle: tuple = None
+
+    @property
+    def iterations(self):
+        """The number of steps computed."""
+        return len(self.residuals)
 
     @property
     def final(self):
@@ -125,10 +128,8 @@ def iwfa(ch, init, cfg=None):
 
     The synchronous mapping depends on Q alone, so once an iterate repeats
     an earlier one bit for bit the run cycles without converging (every
-    residual of the cycle was already at least delta). The run stops there
-    and fills the rest of the trace, up to max_iter, from the cycle (the
-    filled-in iterates are the cycle's own arrays); the trace equals the
-    one the full run would give, with `cycle` set.
+    residual of the cycle was already at least delta). The run stops there:
+    the trace ends at the revisit, and `cycle` says how it would go on.
     """
     cfg = cfg or IwfaConfig()
     nodes = _node_constants(ch, (1, 2))
@@ -161,15 +162,8 @@ def iwfa(ch, init, cfg=None):
             if start < step:
                 cycle = (start, step - start)
                 break
-    if cycle is not None:
-        period = cycle[1]
-        for t in range(len(iterates), cfg.max_iter + 1):
-            iterates.append(iterates[t - period])
-            residuals.append(residuals[t - 1 - period])
-            schedule.append(flags)
     return IwfaTrace(iterates=iterates, residuals=residuals,
-                     converged=converged, iterations=len(residuals),
-                     schedule=schedule, cycle=cycle)
+                     converged=converged, schedule=schedule, cycle=cycle)
 
 
 @dataclass
@@ -214,24 +208,26 @@ def uniqueness_condition(ch):
                             bound_radius=tuple(radii))
 
 
-def contraction_check(ch, profile_pairs, w=(1.0, 1.0)):
+def contraction_check(ch, profile_pairs):
     """Empirical non-contractiveness probe.
 
     For each pair of distinct profiles (a, b) computes
-    ||Phi(a) - Phi(b)||_F^w / ||a - b||_F^w under the weighted max norm;
-    any ratio >= 1 demonstrates that the best-response mapping is not a
-    contraction for this weight vector.
+    ||Phi(a) - Phi(b)|| / ||a - b|| in the block max norm
+    ||(X1, X2)|| = max(||X1||_F, ||X2||_F); any ratio >= 1 demonstrates
+    that the best-response mapping is not a contraction in that norm.
     """
+    def dist(a, b):
+        return max(np.linalg.norm(a[0] - b[0]), np.linalg.norm(a[1] - b[1]))
+
     max_ratio = 0.0
     witness = None
     skipped = 0
     for a, b in profile_pairs:
-        den = weighted_max_norm(a[0] - b[0], a[1] - b[1], w)
+        den = dist(a, b)
         if den == 0.0:
             skipped += 1
             continue
-        fa, fb = phi_mapping(ch, a), phi_mapping(ch, b)
-        num = weighted_max_norm(fa[0] - fb[0], fa[1] - fb[1], w)
+        num = dist(phi_mapping(ch, a), phi_mapping(ch, b))
         ratio = num / den
         if ratio > max_ratio:
             max_ratio = ratio

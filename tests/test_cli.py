@@ -128,6 +128,25 @@ class TestDispatch:
                      "--output", str(tmp_path / "t.csv")])
         assert code == 1
 
+    def test_ne_cycled_trace_ends_at_the_revisit(self, tmp_path):
+        # trial 8 of the first sweep point of the seed-808 ne_vs_tdma draw,
+        # at eta_direct 0 dB and eta_self 70 dB: sync IWFA revisits a profile
+        ch = sample_channel(3, 3, {(1, 1): 1e7, (2, 2): 1e7,
+                                   (1, 2): 1.0, (2, 1): 1.0},
+                            1e-6, {1: 10.0, 2: 10.0},
+                            np.random.default_rng([808, 1, 0, 0, 8]),
+                            symmetric=True)
+        ch.H = {k: v / np.sqrt(3) for k, v in ch.H.items()}
+        cfg = tmp_path / "cycling.json"
+        cfg.write_text(json.dumps({"channel": channel_to_dict(ch)}))
+        out = tmp_path / "trace.csv"
+        assert main(["ne", "--config", str(cfg), "--output", str(out)]) == 0
+        report = json.loads((tmp_path / "trace.csv.report.json").read_text())
+        assert report["converged"] is False and report["cycle"] is not None
+        steps = sum(report["cycle"])
+        assert report["iterations"] == steps < 500
+        assert len(out.read_text().splitlines()) == 1 + steps
+
     def test_uniqueness_json(self, channel_config, capsys):
         assert main(["uniqueness", "--config", str(channel_config)]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -295,6 +314,9 @@ def _experiment(name, params):
     ("uniqueness", _channel_set("beta_db", 4000.0), []),
     ("ne", _channel_set("eta_db.11", 4000.0), []),
     ("experiment", lambda _: _ne_vs_tdma(eta_self_db_sweep=[4000.0]), []),
+    ("experiment", lambda _: _iwfa_convergence(gamma_db_list=[-4000.0]), []),
+    ("experiment", lambda _: _rate_region(gamma_db_list=[-4000.0]), []),
+    ("experiment", lambda _: _ber(gamma_db=-4000.0), []),
 ], ids=["pareto-no-eta", "uniqueness-no-eta", "scalar-sweep",
         "negative-bits", "negative-grid", "string-grid", "zero-grid-pair",
         "negative-delta", "unknown-mode", "fractional-max-iter",
@@ -318,7 +340,8 @@ def _experiment(name, params):
         "channel-M-mismatch", "channel-N-mismatch", "channel-unknown-key",
         "channel-string-eta-db", "channel-nan-P", "pareto-overflow-eta-db",
         "uniqueness-overflow-beta-db", "ne-overflow-eta-db",
-        "experiment-overflow-eta-self-db"])
+        "experiment-overflow-eta-self-db", "convergence-underflow-gamma-db",
+        "region-underflow-gamma-db", "ber-underflow-gamma-db"])
 def test_malformed_config_exits_2(command, make_config, overrides,
                                   channel_config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"

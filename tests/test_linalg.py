@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdtwoway.linalg import (pseudo_inverse, sample_complex_gaussian,
-                             spectral_radius, water_fill, weighted_max_norm)
+                             spectral_radius, water_fill)
 
 HERMITIAN_RTOL = 1e-10
 
@@ -120,24 +120,6 @@ class TestCirculant:
         fast = np.sort_complex(circulant_eigenvalues(row))
         dense = np.sort_complex(np.linalg.eigvals(circulant_matrix(row)))
         assert np.allclose(fast, dense, atol=1e-9)
-
-
-class TestWeightedMaxNorm:
-    def test_definition(self):
-        X1 = np.eye(2) * 3.0
-        X2 = np.eye(2)
-        assert weighted_max_norm(X1, X2, (1.0, 1.0)) == pytest.approx(
-            np.linalg.norm(X1))
-        assert weighted_max_norm(X1, X2, (6.0, 1.0)) == pytest.approx(
-            np.linalg.norm(X2))
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(6)
-        a = [random_hermitian(3, rng) for _ in range(2)]
-        b = [random_hermitian(3, rng) for _ in range(2)]
-        w = (1.0, 2.0)
-        lhs = weighted_max_norm(a[0] + b[0], a[1] + b[1], w)
-        assert lhs <= weighted_max_norm(*a, w) + weighted_max_norm(*b, w) + 1e-12
 
 
 class TestComplexGaussian:
