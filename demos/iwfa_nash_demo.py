@@ -38,7 +38,6 @@ for k, r in enumerate(sync.residuals[:8]):
     print(f"  iter {k:2d}  residual {r:.3e}")
 
 async_tr = iwfa(ch, init, IwfaConfig(delta=1e-10, max_iter=500,
-                                     mode="asynchronous",
                                      miss_probability=0.3, rng_seed=1))
 print(f"async IWFA (30% missed updates): converged={async_tr.converged} "
       f"in {async_tr.iterations} steps")

@@ -3,6 +3,7 @@ water-filling (sync and async), Nash-equilibrium uniqueness conditions
 and contraction diagnostics.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,6 @@ from .linalg import pseudo_inverse, spectral_radius, water_fill
 
 DEFAULT_DELTA = 1e-8
 DEFAULT_MAX_ITER = 500
-MISO_NE_TOL = 1e-8
 
 
 @dataclass
@@ -28,9 +28,10 @@ class BestResponseResult:
 
 def _best_responses(nodes, d):
     """Water-filling best responses of the stacked nodes against opponent
-    transmit powers d (one row per node). Returns (Q, water level,
-    effective channel W = eta_ij H_ij^H Sigma_j^-1 H_ij, degenerate); a
-    zero effective channel gives the uniform strategy, flagged degenerate."""
+    transmit powers d (..., nodes, M), whose leading axes are a batch of
+    profiles. Returns (Q, water level, effective channel W = eta_ij H_ij^H
+    Sigma_j^-1 H_ij, degenerate); a zero effective channel gives the
+    uniform strategy, flagged degenerate."""
     P = nodes[-1]
     W = _effective_channel(nodes, d)
     W = (W + _herm(W)) / 2
@@ -38,13 +39,14 @@ def _best_responses(nodes, d):
     # strongest mode first: this summation order reproduces the per-node
     # reference in the tests to the last bit, which matters because
     # trials that do not converge amplify last-bit differences
-    lam, U = lam[:, ::-1], U[:, :, ::-1]
+    lam, U = lam[..., ::-1], U[..., ::-1]
     p, mu = water_fill(lam, P)
-    Q = (U * p[:, None, :]) @ _herm(U)
+    Q = (U * p[..., None, :]) @ _herm(U)
     Q = (Q + _herm(Q)) / 2
     degenerate = mu == 0.0
     if degenerate.any():
         M = Q.shape[-1]
+        P = np.broadcast_to(P, degenerate.shape)
         Q[degenerate] = (P[degenerate, None, None] / M) * np.eye(M)
     return Q, mu, W, degenerate
 
@@ -67,18 +69,23 @@ def best_response(ch, i, Q_j):
 
 
 def phi_mapping(ch, profile):
-    """Simultaneous best-response mapping (B1(Q2), B2(Q1))."""
+    """Simultaneous best-response mapping (B1(Q2), B2(Q1)).
+
+    profile is (Q1, Q2), or a stack (..., 2, M, M) of profiles; returns a
+    tuple for one profile and a stack of the images for a stack.
+    """
+    Q = _strategies(ch, profile)
     # node 1 faces Q2 and node 2 faces Q1
-    Q = _best_responses(_node_constants(ch, (1, 2)),
-                        _powers(_strategies(ch, profile))[::-1])[0]
-    return (Q[0], Q[1])
+    image = _best_responses(_node_constants(ch, (1, 2)),
+                            _powers(Q)[..., ::-1, :])[0]
+    return (image[0], image[1]) if image.ndim == 3 else image
 
 
 @dataclass
 class IwfaConfig:
     delta: float = DEFAULT_DELTA
     max_iter: int = DEFAULT_MAX_ITER
-    mode: str = "synchronous"
+    # a run is asynchronous iff miss_probability > 0
     miss_probability: float = 0.0
     rng_seed: int = 0
 
@@ -87,7 +94,6 @@ class IwfaConfig:
         _check_value("max_iter", 1, self.max_iter)
         if not (0.0 <= self.miss_probability < 1.0):
             raise ValueError("miss_probability must be in [0, 1)")
-        _check_value("mode", ("synchronous", "asynchronous"), self.mode)
 
 
 @dataclass
@@ -110,21 +116,16 @@ class IwfaTrace:
         return self.iterates[-1]
 
 
-def _profile_dist(a, b):
-    """Frobenius distance between two stacked profiles."""
-    step = a - b
-    return float(np.sqrt(np.vdot(step, step).real))
-
-
 def iwfa(ch, init, cfg=None):
     """Iterative water-filling from a feasible initial profile.
 
-    Synchronous mode applies the full mapping each iteration and stops when
-    ||Phi(Q) - Q||_F < delta. Asynchronous mode updates each node with
-    probability 1 - miss_probability per iteration (seeded Bernoulli
-    schedule), keeping the stale strategy on a miss, and stops on the
-    successive-iterate distance of an iteration where both nodes updated
-    (a missed update contributes zero movement and must not end the run).
+    A synchronous run (miss_probability 0) applies the full mapping each
+    iteration and stops when ||Phi(Q) - Q||_F < delta. An asynchronous run
+    (miss_probability > 0) updates each node with probability
+    1 - miss_probability per iteration (seeded Bernoulli schedule), keeping
+    the stale strategy on a miss, and stops on the successive-iterate
+    distance of an iteration where both nodes updated (a missed update
+    contributes zero movement and must not end the run).
 
     The synchronous mapping depends on Q alone, so once an iterate repeats
     an earlier one bit for bit the run cycles without converging (every
@@ -134,7 +135,7 @@ def iwfa(ch, init, cfg=None):
     cfg = cfg or IwfaConfig()
     nodes = _node_constants(ch, (1, 2))
     rng = (np.random.default_rng(cfg.rng_seed)
-           if cfg.mode == "asynchronous" else None)
+           if cfg.miss_probability > 0 else None)
     Q = _strategies(ch, init)
     iterates = [(Q[0], Q[1])]
     residuals, schedule = [], []
@@ -148,7 +149,8 @@ def iwfa(ch, init, cfg=None):
             for k in (0, 1):
                 if not flags[k]:
                     new[k] = Q[k]
-        residual = _profile_dist(new, Q)
+        step = new - Q
+        residual = float(np.sqrt(np.vdot(step, step).real))
         iterates.append((new[0], new[1]))
         residuals.append(residual)
         schedule.append(flags)
@@ -214,25 +216,25 @@ def contraction_check(ch, profile_pairs):
     For each pair of distinct profiles (a, b) computes
     ||Phi(a) - Phi(b)|| / ||a - b|| in the block max norm
     ||(X1, X2)|| = max(||X1||_F, ||X2||_F); any ratio >= 1 demonstrates
-    that the best-response mapping is not a contraction in that norm.
+    that the best-response mapping is not a contraction in that norm. The
+    witness is the first pair of the largest ratio; identical pairs are
+    skipped.
     """
-    def dist(a, b):
-        return max(np.linalg.norm(a[0] - b[0]), np.linalg.norm(a[1] - b[1]))
+    pairs = list(profile_pairs)
+    if not pairs:
+        return {"max_ratio": 0.0, "witness": None, "skipped": 0}
+    X = _strategies(ch, pairs)      # (pairs, a/b, nodes, M, M)
 
-    max_ratio = 0.0
-    witness = None
-    skipped = 0
-    for a, b in profile_pairs:
-        den = dist(a, b)
-        if den == 0.0:
-            skipped += 1
-            continue
-        num = dist(phi_mapping(ch, a), phi_mapping(ch, b))
-        ratio = num / den
-        if ratio > max_ratio:
-            max_ratio = ratio
-            witness = (a, b)
-    return {"max_ratio": max_ratio, "witness": witness, "skipped": skipped}
+    def dist(S):
+        return np.linalg.norm(S[:, 0] - S[:, 1], axis=(-2, -1)).max(-1)
+
+    den = dist(X)
+    ratios = np.divide(dist(phi_mapping(ch, X)), den,
+                       out=np.zeros_like(den), where=den != 0.0)
+    k = int(np.argmax(ratios))
+    return {"max_ratio": float(ratios[k]),
+            "witness": tuple(pairs[k]) if ratios[k] > 0.0 else None,
+            "skipped": int(np.count_nonzero(den == 0.0))}
 
 
 def rayleigh_ratio_cdf(x):
@@ -253,35 +255,21 @@ def circulant_uniqueness_probability(M, gamma, beta):
     """Probability that a symmetric circulant FD channel satisfies the
     uniqueness condition: Gamma(sqrt(gamma/beta))^M with Gamma the
     Rayleigh-ratio CDF (gamma, beta linear)."""
-    if gamma <= 0 or beta <= 0:
-        raise ValueError("gamma and beta must be positive")
+    if not (0 < gamma < math.inf and 0 < beta < math.inf):
+        raise ValueError(f"gamma and beta must be finite and positive, got "
+                         f"{gamma!r} and {beta!r}")
     return float(rayleigh_ratio_cdf(np.sqrt(gamma / beta)) ** M)
 
 
 def miso_ne(ch):
-    """Closed-form MISO Nash equilibrium: full-power matched filters
-    Q_i = P_i h_ij h_ij^H / ||h_ij||^2, verified as a fixed point of the
-    best-response mapping to within MISO_NE_TOL."""
+    """MISO (N = 1) Nash equilibrium: one step of the best-response mapping
+    from zero profiles. Each effective channel eta_ij h_ij h_ij^H / sigma_j^2
+    has rank one along h_ij whatever the opponent plays, so B_i is the
+    full-power matched filter P_i h_ij h_ij^H / ||h_ij||^2 and the image is
+    a fixed point; a zero h_ij gives the uniform strategy."""
     if ch.N != 1:
         raise ValueError("miso_ne requires N = 1")
-    Qs = []
-    degenerate = False
-    for i in (1, 2):
-        h = ch.h(i, other(i))
-        n2 = float(np.linalg.norm(h) ** 2)
-        if n2 == 0.0:
-            Qs.append((ch.P[i] / ch.M) * np.eye(ch.M))
-            degenerate = True
-        else:
-            w = np.sqrt(ch.P[i]) * h / np.sqrt(n2)
-            Qs.append(np.outer(w, w.conj()))
-    profile = (Qs[0], Qs[1])
-    if not degenerate:
-        image = phi_mapping(ch, profile)
-        if _profile_dist(np.stack(image), np.stack(profile)) > MISO_NE_TOL:
-            raise ArithmeticError("matched-filter profile is not a fixed "
-                                  "point of the best-response mapping")
-    return profile
+    return phi_mapping(ch, np.zeros((2, ch.M, ch.M)))
 
 
 def export_trace_csv(ch, trace, path_or_file):

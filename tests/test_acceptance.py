@@ -288,9 +288,8 @@ def test_ac06_uniqueness_and_stability():
             A1, A2 = _cgauss(rng, M, M), _cgauss(rng, M, M)
             init = tuple(B @ B.conj().T * (10.0 / np.trace(B @ B.conj().T).real)
                          for B in (A1, A2))
-            for mode, miss in (("synchronous", 0.0), ("asynchronous", 0.3)):
+            for miss in (0.0, 0.3):     # synchronous, then asynchronous
                 tr = iwfa(ch, init, IwfaConfig(delta=1e-9, max_iter=2000,
-                                               mode=mode,
                                                miss_probability=miss,
                                                rng_seed=k))
                 assert tr.converged

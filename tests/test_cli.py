@@ -196,7 +196,7 @@ def _rate_region(**params):
 
 def _with_ne(channel_config):
     cfg = json.loads(channel_config.read_text())
-    cfg["ne"] = {"delta": 1e-8, "max_iter": 500, "mode": "synchronous"}
+    cfg["ne"] = {"delta": 1e-8, "max_iter": 500}
     return cfg
 
 
@@ -317,6 +317,12 @@ def _experiment(name, params):
     ("experiment", lambda _: _iwfa_convergence(gamma_db_list=[-4000.0]), []),
     ("experiment", lambda _: _rate_region(gamma_db_list=[-4000.0]), []),
     ("experiment", lambda _: _ber(gamma_db=-4000.0), []),
+    ("experiment", _experiment("uniqueness_probability", {
+        "beta_db_list": [-40.0], "gamma_db_sweep": [4000.0],
+        "trials": 5}), []),
+    ("experiment", _experiment("uniqueness_probability", {
+        "beta_db_list": [4000.0], "gamma_db_sweep": [0.0],
+        "trials": 5}), []),
 ], ids=["pareto-no-eta", "uniqueness-no-eta", "scalar-sweep",
         "negative-bits", "negative-grid", "string-grid", "zero-grid-pair",
         "negative-delta", "unknown-mode", "fractional-max-iter",
@@ -341,7 +347,8 @@ def _experiment(name, params):
         "channel-string-eta-db", "channel-nan-P", "pareto-overflow-eta-db",
         "uniqueness-overflow-beta-db", "ne-overflow-eta-db",
         "experiment-overflow-eta-self-db", "convergence-underflow-gamma-db",
-        "region-underflow-gamma-db", "ber-underflow-gamma-db"])
+        "region-underflow-gamma-db", "ber-underflow-gamma-db",
+        "uniqueness-overflow-gamma-db", "uniqueness-overflow-beta-list-db"])
 def test_malformed_config_exits_2(command, make_config, overrides,
                                   channel_config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"

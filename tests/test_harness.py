@@ -5,10 +5,13 @@ import pytest
 from scipy.stats import norm
 
 from fdtwoway import harness
+from fdtwoway.channel import db_to_linear
 from fdtwoway.harness import (ExperimentSpec, _crossover, run, run_ber,
                               run_iwfa_convergence, run_ne_vs_tdma,
                               run_rate_region, run_uniqueness_probability,
                               wilson_interval)
+from fdtwoway.nash import phi_mapping
+from golden.regenerate import ac08_spec
 
 
 class TestExperimentSpec:
@@ -148,6 +151,39 @@ class TestUniquenessProbability:
             assert abs(row[2] - row[3]) < 0.02
         # probability increasing in gamma
         assert res.rows[1][2] > res.rows[0][2]
+
+
+class TestEquilibriumSelection:
+    """The NE sum rate averages the symmetric equilibrium reached from zero
+    profiles: on the harness's symmetric channels every iterate has Q1 = Q2
+    bit for bit. A synchronous cycle of period 2, (q_a, q_a) -> (q_b, q_b)
+    -> (q_a, q_a), holds an asymmetric equilibrium (q_a, q_b) that this
+    rule does not select."""
+
+    def test_symmetric_profiles_and_period_two_fixed_points(self):
+        # the first 16 trials of two AC8 sweep points (seed 808): trial 15
+        # of point (0 dB, 68 dB) and trial 1 of (10 dB, 70 dB) cycle with
+        # period 2
+        ac08 = ac08_spec()
+        spec = ExperimentSpec(ac08.name, dict(ac08.params, trials=16),
+                              rng_seed=ac08.rng_seed)
+        p = spec.params
+        period_two = []
+        for di, si in ((0, 5), (1, 6)):
+            stream = (1, di, si)    # the stream of run_ne_vs_tdma's point
+            eta_d = float(db_to_linear(p["eta_direct_db_list"][di]))
+            eta_s = float(db_to_linear(p["eta_self_db_sweep"][si]))
+            for t, (ch, tr) in enumerate(harness._iwfa_trials(
+                    spec, stream, eta_d, eta_s, True)):
+                assert all(np.array_equal(Q1, Q2) for Q1, Q2 in tr.iterates)
+                if tr.cycle is None or tr.cycle[1] != 2:
+                    continue
+                period_two.append((*stream, t))
+                q_a, q_b = (tr.iterates[tr.cycle[0] + k][0] for k in (0, 1))
+                assert not np.array_equal(q_a, q_b)
+                assert np.array_equal(np.stack(phi_mapping(ch, (q_a, q_b))),
+                                      np.stack((q_a, q_b)))
+        assert period_two == [(1, 0, 5, 15), (1, 1, 6, 1)]
 
 
 class TestIwfaConvergence:

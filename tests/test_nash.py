@@ -133,8 +133,7 @@ class TestIwfa:
     def test_async_agrees_with_sync(self):
         ch = make_channel(6, eta_self=1e3)
         sync = iwfa(ch, (np.zeros((3, 3)), np.zeros((3, 3))))
-        cfg = IwfaConfig(mode="asynchronous", miss_probability=0.3,
-                         rng_seed=11)
+        cfg = IwfaConfig(miss_probability=0.3, rng_seed=11)
         async_tr = iwfa(ch, (np.zeros((3, 3)), np.zeros((3, 3))), cfg)
         assert async_tr.converged
         for k in (0, 1):
@@ -160,8 +159,6 @@ class TestIwfa:
                 IwfaConfig(delta=delta)
         with pytest.raises(ValueError):
             IwfaConfig(miss_probability=1.0)
-        with pytest.raises(ValueError):
-            IwfaConfig(mode="sideways")
         for max_iter in (0, 2.5, "10", None):
             with pytest.raises(ValueError):
                 IwfaConfig(max_iter=max_iter)
@@ -195,6 +192,31 @@ class TestUniqueness:
         Q = random_Q(3, 10.0, np.random.default_rng(14))
         out = contraction_check(ch, [((Q, Q), (Q, Q))])
         assert out["skipped"] == 1
+
+    def test_contraction_matches_per_pair_loop(self):
+        # reference: one Phi call per profile and a strict running maximum,
+        # so the witness is the first pair of the largest ratio
+        def dist(a, b):
+            return max(np.linalg.norm(a[0] - b[0]),
+                       np.linalg.norm(a[1] - b[1]))
+
+        ch = counterexample_channel()
+        pairs = counterexample_probe_pairs(300, np.random.default_rng(22))
+        pairs[7] = (pairs[7][0], pairs[7][0])
+        max_ratio, witness = 0.0, None
+        for a, b in pairs:
+            den = dist(a, b)
+            if den > 0.0:
+                ratio = dist(phi_mapping(ch, a), phi_mapping(ch, b)) / den
+                if ratio > max_ratio:
+                    max_ratio, witness = ratio, (a, b)
+        out = contraction_check(ch, iter(pairs))
+        assert out["max_ratio"] == pytest.approx(max_ratio, rel=1e-12)
+        assert out["witness"] is not None
+        assert all(x is y for x, y in zip(out["witness"], witness))
+        assert out["skipped"] == 1
+        assert contraction_check(ch, []) == {"max_ratio": 0.0,
+                                             "witness": None, "skipped": 0}
 
 
 class TestRayleighRatio:
@@ -291,7 +313,7 @@ def seed_iwfa(ch, init, cfg):
                np.asarray(init[1], dtype=complex))
     iterations, converged = 0, False
     for _ in range(cfg.max_iter):
-        if cfg.mode == "synchronous":
+        if cfg.miss_probability == 0:
             flags = (True, True)
         else:
             flags = tuple(rng.random() >= cfg.miss_probability
@@ -377,8 +399,8 @@ class TestKernelEquivalence:
     def test_async_matches_reference(self):
         for t in range(12):
             ch = ne_vs_tdma_channel([4321, t], 0.0, 40.0 + 3.0 * t)
-            cfg = IwfaConfig(delta=1e-8, max_iter=300, mode="asynchronous",
-                             miss_probability=0.3, rng_seed=t)
+            cfg = IwfaConfig(delta=1e-8, max_iter=300, miss_probability=0.3,
+                             rng_seed=t)
             assert self._compare(ch, cfg).cycle is None
 
     def test_best_response_matches_reference(self):
